@@ -24,8 +24,10 @@
 //!   behind [`reactor::Poller`], plus the cross-thread
 //!   [`reactor::Waker`];
 //! - [`server`] — the TCP server: the reactor loop driving nonblocking
-//!   connection I/O, the admission thread, scheduler/watchdog/drain
-//!   ([`serve`], [`Server`], [`ServiceConfig`]);
+//!   connection I/O and the admission thread ([`serve`], [`Server`],
+//!   [`ServiceConfig`]);
+//! - `sched` — the event-driven scheduler: dispatch on admission,
+//!   per-job deadline/cancel-grace/progress timers, the drain;
 //! - [`signal`] — the SIGTERM/SIGINT → drain flag bridge (and reactor
 //!   wake-fd poke);
 //! - [`wal`] — the crash-safe write-ahead submission log behind the
@@ -45,6 +47,7 @@ pub mod chaos;
 pub mod protocol;
 pub mod quota;
 pub mod reactor;
+mod sched;
 pub mod server;
 pub mod signal;
 pub mod wal;
@@ -52,5 +55,5 @@ pub mod wal;
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosReport};
 pub use protocol::{Request, Response, ShedReason, Submit, TenantStatus};
 pub use quota::{Admission, PipelineGate, TenantQuota};
-pub use server::{serve, JobFactory, Server, ServiceConfig, ServiceReport};
+pub use server::{serve, JobFactory, SchedulerWakeups, Server, ServiceConfig, ServiceReport};
 pub use wal::{PendingRecovery, Wal, WalRecord, WalState};

@@ -1,6 +1,7 @@
 //! The always-on simulation server: a readiness reactor driving every
-//! connection, an admission thread owning durable accepts, and the
-//! scheduler that drives dispatch, deadlines, and graceful drain.
+//! connection and an admission thread owning durable accepts. The
+//! scheduler that drives dispatch, deadlines, and graceful drain lives
+//! next door in [`super::sched`].
 //!
 //! Threading model (all plain `std::thread` + `std::net`, no external
 //! runtime):
@@ -18,12 +19,15 @@
 //! - **admission** (one thread): receives submits from the reactor
 //!   over a channel and runs dedup + admission + the fsynced WAL
 //!   `accepted` append. Disk waits land here, never on the reactor,
-//!   and the single thread preserves global submit order;
-//! - **scheduler** (one thread): round-robin dispatch out of
-//!   [`Admission`], one worker thread per running job (bounded by
-//!   `workers`), completion collection, the per-job deadline watchdog,
-//!   periodic `progress` frames for running jobs, and the drain
-//!   sequence. It is the only writer of the journal, so journal
+//!   and the single thread preserves global submit order. A job joins
+//!   the dispatch queue only after its `accepted` line is in the
+//!   outbox, and the scheduler is told so at once;
+//! - **scheduler** (one thread, [`super::sched`]): round-robin
+//!   dispatch out of [`Admission`], one worker thread per running job
+//!   (bounded by `workers`), completion collection, the per-job
+//!   deadline watchdog, periodic `progress` frames for running jobs,
+//!   and the drain sequence. It sleeps until a message or a job's
+//!   timer wakes it. It is the only writer of the journal, so journal
 //!   entries land in completion order without interleaving;
 //! - **workers** (one thread per running job): install the job's
 //!   [`CancelToken`], obs scope and tenant label (so `scatter` shards
@@ -57,20 +61,20 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::obs::metrics;
 use crate::runner::json::Value;
-use crate::runner::{CancelToken, Cancelled, Job, JobCtx, JobError, Journal};
+use crate::runner::{Job, JobError};
 
 use super::protocol::{self, Request, ShedReason, Submit, TenantStatus};
 use super::quota::{Admission, PipelineGate, TenantQuota};
 use super::reactor::{self, Interest, Poller, ReadyEvent};
+use super::sched::{scheduler_loop, SchedMsg, Unbuildable};
 use super::wal::{Wal, WalRecord, WalState};
 
 /// Builds a runnable [`Job`] from a submit request, or a client-visible
@@ -187,6 +191,18 @@ pub struct ServiceReport {
     pub recovered: u64,
 }
 
+/// How often the scheduler thread has left its wait, by cause (see
+/// [`Server::scheduler_wakeups`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedulerWakeups {
+    /// A message arrived: a job was admitted, a worker finished, or a
+    /// drain was requested.
+    pub messages: u64,
+    /// A running job's deadline, cancel grace or progress cadence, or
+    /// the drain grace, came due with no message pending.
+    pub timers: u64,
+}
+
 /// Reactor wakeup shared by every outbox: appending a response line
 /// marks the connection's token dirty and pokes the poller, so replies
 /// reach the socket on the next reactor pass rather than the next
@@ -234,11 +250,11 @@ struct OutQueue {
 /// an outbox the reactor flushes to the nonblocking socket as fast as
 /// the client reads. The pipeline gate rides here because its lifetime
 /// is exactly the connection's.
-struct Outbox {
+pub(super) struct Outbox {
     /// The reactor token of the owning connection.
     token: u64,
     /// Per-connection pipelining cap (submits in flight).
-    gate: PipelineGate,
+    pub(super) gate: PipelineGate,
     queue: Mutex<OutQueue>,
     wake: Arc<WakeShared>,
 }
@@ -257,7 +273,7 @@ impl Outbox {
     }
 
     /// Pops queued lines until roughly `target_bytes` worth are taken.
-    fn take_lines(&self, target_bytes: usize) -> Vec<String> {
+    pub(super) fn take_lines(&self, target_bytes: usize) -> Vec<String> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = Vec::new();
         let mut taken = 0usize;
@@ -301,12 +317,12 @@ impl Outbox {
 }
 
 /// See [`Outbox`].
-type ConnWriter = Arc<Outbox>;
+pub(super) type ConnWriter = Arc<Outbox>;
 
 /// Queues one response line, best-effort: a dead or slow client must
 /// never take the server down with it (its lines are dropped once the
 /// connection closes).
-fn send_line(writer: &ConnWriter, line: &str) {
+pub(super) fn send_line(writer: &ConnWriter, line: &str) {
     writer.push(line);
 }
 
@@ -314,56 +330,21 @@ fn send_line(writer: &ConnWriter, line: &str) {
 /// re-enqueued from the WAL at startup — their submitting connection
 /// died with the old process; a resubmit with the same idempotency key
 /// re-attaches via the waiter list.
-struct Pending {
-    job_id: u64,
-    job: Job,
-    deadline: Duration,
-    tag: Option<String>,
-    idem_key: Option<String>,
-    writer: Option<ConnWriter>,
+pub(super) struct Pending {
+    pub(super) job_id: u64,
+    pub(super) job: Job,
+    pub(super) deadline: Duration,
+    pub(super) tag: Option<String>,
+    pub(super) idem_key: Option<String>,
+    pub(super) writer: Option<ConnWriter>,
     /// When the reactor parsed the originating submit (`None` for jobs
     /// re-enqueued from the WAL — their submit predates this process).
-    received: Option<Instant>,
-    /// When the job entered the admission queue; the scheduler's
-    /// dispatch turns the difference into the queue-wait metric.
-    queued: Instant,
-}
-
-/// Why a running job's token was cancelled.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CancelCause {
-    Deadline,
-    Drain,
-}
-
-/// Scheduler-side record of a running job.
-struct Running {
-    tenant: String,
-    name: String,
-    seed: u64,
-    token: CancelToken,
-    started: Instant,
-    deadline: Instant,
-    limit_ms: u64,
-    tag: Option<String>,
-    idem_key: Option<String>,
-    writer: Option<ConnWriter>,
-    /// See [`Pending::received`].
-    received: Option<Instant>,
-    cancel_cause: Option<CancelCause>,
-    cancelled_at: Option<Instant>,
-    /// Last time a `progress` frame was streamed to the submitter.
-    last_progress: Instant,
-}
-
-/// What a worker thread reports back. The scheduler supplies the
-/// *meaning* of a cancellation unwind (deadline vs drain) because only
-/// it knows why the token fired.
-enum WorkerOutcome {
-    Ok(String),
-    Failed(String),
-    Panicked(String),
-    CancelUnwind,
+    pub(super) received: Option<Instant>,
+    /// When the job became dispatchable — published to the admission
+    /// queue, after its WAL append and its `accepted` line; the
+    /// scheduler's dispatch turns the difference into the queue-wait
+    /// metric.
+    pub(super) queued: Instant,
 }
 
 /// One idempotency key's lifecycle. Keys move `InFlight` → `Done` and
@@ -384,7 +365,7 @@ enum IdemState {
 /// are never evicted — they are exactly the keys a reconnecting client
 /// is about to resend.
 #[derive(Default)]
-struct IdemMap {
+pub(super) struct IdemMap {
     entries: HashMap<String, IdemState>,
     done_order: VecDeque<String>,
 }
@@ -392,7 +373,7 @@ struct IdemMap {
 impl IdemMap {
     /// Marks `key` completed, evicting the oldest completed entries
     /// beyond `cap`.
-    fn record_done(
+    pub(super) fn record_done(
         &mut self,
         key: String,
         job_id: u64,
@@ -423,7 +404,7 @@ impl IdemMap {
 /// an in-flight idempotency key (typically a client that reconnected
 /// after losing the original connection). Each waiter gets the `done`
 /// line with its own tag.
-type Waiters = HashMap<u64, Vec<(ConnWriter, Option<String>)>>;
+pub(super) type Waiters = HashMap<u64, Vec<(ConnWriter, Option<String>)>>;
 
 /// One submit forwarded from the reactor to the admission thread. The
 /// gate slot was already acquired by the reactor; every admission path
@@ -439,31 +420,96 @@ struct AdmitRequest {
 }
 
 /// State shared by the reactor, admission thread and scheduler.
-struct Shared {
-    admission: Mutex<Admission<Pending>>,
-    /// Drain trigger (in-process shutdown, `shutdown` op; the reactor
-    /// additionally polls [`super::signal::requested`]).
+pub(super) struct Shared {
+    pub(super) admission: Mutex<Admission<Pending>>,
+    /// Set by [`request_stop`](Self::request_stop); the reactor closes
+    /// the listener on it (the scheduler gets [`SchedMsg::Stop`]).
     stop: AtomicBool,
     /// Set once the drain has completed; the reactor flushes and
     /// closes every connection on it.
     done: AtomicBool,
     next_job_id: AtomicU64,
-    cancelled: AtomicU64,
-    recovered: AtomicU64,
+    pub(super) cancelled: AtomicU64,
+    pub(super) recovered: AtomicU64,
     /// Lock order where both are held: `idem` before `waiters`. That
     /// makes "saw InFlight → registered waiter" atomic against the
     /// scheduler's "record done → drain waiters", closing the window
     /// where a resubmit could register after the drain and wait
     /// forever.
-    idem: Mutex<IdemMap>,
-    waiters: Mutex<Waiters>,
-    wal: Option<Wal>,
+    pub(super) idem: Mutex<IdemMap>,
+    pub(super) waiters: Mutex<Waiters>,
+    pub(super) wal: Option<Wal>,
     wake: Arc<WakeShared>,
-    cfg: ServiceConfig,
+    /// Everything the scheduler must react to is sent here: it has no
+    /// poll interval to fall back on.
+    pub(super) sched_tx: Sender<SchedMsg>,
+    /// [`SchedulerWakeups`], counted by the scheduler loop.
+    pub(super) sched_message_wakeups: AtomicU64,
+    pub(super) sched_timer_wakeups: AtomicU64,
+    pub(super) cfg: ServiceConfig,
     factory: JobFactory,
 }
 
 impl Shared {
+    pub(super) fn new(
+        cfg: ServiceConfig,
+        factory: JobFactory,
+        wal: Option<Wal>,
+        idem: IdemMap,
+        first_job_id: u64,
+        waker: reactor::Waker,
+        sched_tx: Sender<SchedMsg>,
+    ) -> Shared {
+        Shared {
+            admission: Mutex::new(Admission::new(cfg.queue_cap, cfg.quota)),
+            stop: AtomicBool::new(false),
+            done: AtomicBool::new(false),
+            next_job_id: AtomicU64::new(first_job_id),
+            cancelled: AtomicU64::new(0),
+            recovered: AtomicU64::new(0),
+            idem: Mutex::new(idem),
+            waiters: Mutex::new(Waiters::new()),
+            wal,
+            wake: Arc::new(WakeShared {
+                waker,
+                dirty: Mutex::new(Vec::new()),
+            }),
+            sched_tx,
+            sched_message_wakeups: AtomicU64::new(0),
+            sched_timer_wakeups: AtomicU64::new(0),
+            cfg,
+            factory,
+        }
+    }
+
+    /// The write side of a new connection registered under `token`.
+    pub(super) fn outbox(&self, token: u64) -> ConnWriter {
+        Arc::new(Outbox {
+            token,
+            gate: PipelineGate::new(self.cfg.pipeline_limit),
+            queue: Mutex::new(OutQueue::default()),
+            wake: Arc::clone(&self.wake),
+        })
+    }
+
+    /// Starts the graceful drain, once: in-process shutdown, the
+    /// `shutdown` op and a signal all land here.
+    fn request_stop(&self) {
+        if !self.stop.swap(true, Ordering::SeqCst) {
+            // A scheduler that has already exited is already drained.
+            let _ = self.sched_tx.send(SchedMsg::Stop);
+            self.wake.waker.wake();
+        }
+    }
+
+    /// Tells the reactor the drain is complete: it flushes and closes
+    /// every connection, then exits.
+    pub(super) fn mark_drained(&self) {
+        self.done.store(true, Ordering::SeqCst);
+        // The reactor may be parked in a poll: start its final flush now.
+        self.wake.waker.wake();
+    }
+
     /// Builds a `status` response from admission + warm-pool counters.
     fn status_line(&self) -> String {
         let warm: HashMap<String, (u64, u64)> = crate::warm_tenant_counters()
@@ -515,8 +561,17 @@ impl Server {
 
     /// Requests a graceful drain (same path as SIGTERM).
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.waker.wake();
+        self.shared.request_stop();
+    }
+
+    /// How often the scheduler thread has woken so far. An idle server
+    /// reads the same value however long it idles, and a job that
+    /// finishes inside its timers adds to `messages` only.
+    pub fn scheduler_wakeups(&self) -> SchedulerWakeups {
+        SchedulerWakeups {
+            messages: self.shared.sched_message_wakeups.load(Ordering::Relaxed),
+            timers: self.shared.sched_timer_wakeups.load(Ordering::Relaxed),
+        }
     }
 
     /// Blocks until the drain completes and returns the final
@@ -569,30 +624,23 @@ pub fn serve(
 
     let poller = Poller::new()?;
     let (waker, wake_rx) = reactor::wake_pair()?;
+    let (sched_tx, sched_rx) = channel::<SchedMsg>();
 
-    let shared = Arc::new(Shared {
-        admission: Mutex::new(Admission::new(cfg.queue_cap, cfg.quota)),
-        stop: AtomicBool::new(false),
-        done: AtomicBool::new(false),
-        next_job_id: AtomicU64::new(state.max_job_id + 1),
-        cancelled: AtomicU64::new(0),
-        recovered: AtomicU64::new(0),
-        idem: Mutex::new(idem),
-        waiters: Mutex::new(Waiters::new()),
-        wal,
-        wake: Arc::new(WakeShared {
-            waker,
-            dirty: Mutex::new(Vec::new()),
-        }),
-        cfg: cfg.clone(),
+    let shared = Arc::new(Shared::new(
+        cfg.clone(),
         factory,
-    });
+        wal,
+        idem,
+        state.max_job_id + 1,
+        waker,
+        sched_tx,
+    ));
 
     // --- Re-enqueue the recovered backlog. Jobs whose factory no
     // longer recognizes them (registry changed across the restart)
     // are terminally failed instead — durably, so they never replay
     // again — and journaled by the scheduler at startup.
-    let mut unbuildable: Vec<(String, u64, String, Option<String>, JobError)> = Vec::new();
+    let mut unbuildable: Vec<Unbuildable> = Vec::new();
     for p in state.pending {
         let submit = Submit {
             tenant: p.tenant.clone(),
@@ -625,6 +673,7 @@ pub fn serve(
                     let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
                     adm.restore(&p.tenant, pending, p.bytes as usize);
                 }
+                let _ = shared.sched_tx.send(SchedMsg::Admitted);
                 if let Some(w) = &shared.wal {
                     w.append(&WalRecord::Recovered { job_id: p.job_id })?;
                 }
@@ -641,28 +690,24 @@ pub fn serve(
                 shared.recovered.fetch_add(1, Ordering::Relaxed);
             }
             Err(message) => {
-                unbuildable.push((
-                    p.tenant.clone(),
-                    p.job_id,
-                    p.job.clone(),
-                    p.idem_key.clone(),
-                    JobError::Failed {
+                unbuildable.push(Unbuildable {
+                    tenant: p.tenant.clone(),
+                    job_id: p.job_id,
+                    name: p.job.clone(),
+                    idem_key: p.idem_key.clone(),
+                    error: JobError::Failed {
                         message: format!("recovery: job no longer buildable: {message}"),
                     },
-                ));
+                });
             }
         }
     }
-
-    // Completions flow from worker threads to the scheduler; the
-    // scheduler owns the receiver and a template sender for workers.
-    let (tx, rx) = channel::<(u64, WorkerOutcome)>();
 
     let scheduler = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("vsnoop-svc-sched".into())
-            .spawn(move || scheduler_loop(&shared, tx, rx, unbuildable))?
+            .spawn(move || scheduler_loop(&shared, sched_rx, unbuildable))?
     };
 
     // Submits hop from the reactor to this thread so the WAL fsync in
@@ -803,7 +848,7 @@ fn reactor_loop(
     loop {
         if super::signal::requested() {
             // Propagate a signal-initiated drain to the scheduler.
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.request_stop();
         }
         if shared.stop.load(Ordering::SeqCst) {
             if let Some(l) = listener.take() {
@@ -970,12 +1015,7 @@ fn accept_ready(
                 {
                     continue;
                 }
-                let writer = Arc::new(Outbox {
-                    token,
-                    gate: PipelineGate::new(shared.cfg.pipeline_limit),
-                    queue: Mutex::new(OutQueue::default()),
-                    wake: Arc::clone(&shared.wake),
-                });
+                let writer = shared.outbox(token);
                 conns.insert(
                     token,
                     Conn {
@@ -1254,7 +1294,7 @@ fn handle_request(
         Request::Metrics => send_line(writer, &protocol::metrics(metrics::snapshot_value())),
         Request::Ping => send_line(writer, &protocol::pong()),
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::SeqCst);
+            shared.request_stop();
             send_line(writer, &protocol::shutting_down());
         }
         Request::Subscribe => {
@@ -1325,8 +1365,9 @@ fn handle_request(
 }
 
 /// Admission for one submit (on the admission thread): dedup on the
-/// idempotency key, build the job, offer it, make the acceptance
-/// durable, answer.
+/// idempotency key, build the job, reserve its queue slot, make the
+/// acceptance durable, answer, and only then publish the job to the
+/// scheduler.
 ///
 /// Durability ordering: the WAL `accepted` record is written *and
 /// fsynced* before the `accepted` line goes out — a client that has
@@ -1335,11 +1376,16 @@ fn handle_request(
 /// (the job still runs, and a keyed retry dedups against it, so the
 /// failure degrades durability without breaking no-duplication).
 ///
+/// Wire ordering: the job joins the dispatch queue after its `accepted`
+/// line is in the outbox, so the scheduler — which dispatches the
+/// moment it is told — cannot put a `done` ahead of it.
+///
 /// Pipeline-gate contract: the caller (reactor) acquired one slot for
 /// this submit. Paths that answer terminally here (dedup `done`
 /// replay, factory error, shed) release it; paths that promise a
 /// later `done` (queued, in-flight waiter, even `wal_failed` — the
-/// job runs) keep it, and [`finish_job`] releases it with the `done`.
+/// job runs) keep it, and the scheduler's `finish_job` releases it
+/// with the `done`.
 fn handle_submit(
     submit: Submit,
     bytes: usize,
@@ -1355,38 +1401,8 @@ fn handle_submit(
     // full — the original acceptance already promised the work.
     if let Some(key) = &submit.idem_key {
         let idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-        match idem.entries.get(key) {
-            Some(IdemState::Done {
-                job_id,
-                job,
-                outcome,
-            }) => {
-                let (job_id, line) = (*job_id, protocol::done(*job_id, job, outcome, &submit.tag));
-                drop(idem);
-                emit_idem_hit(shared, job_id, &submit, "done");
-                send_line(writer, &protocol::accepted(job_id, &submit.tag));
-                send_line(writer, &line);
-                writer.gate.release();
-                return;
-            }
-            Some(IdemState::InFlight { job_id }) => {
-                let job_id = *job_id;
-                // Still holding `idem`: the scheduler cannot record
-                // this key done (it takes `idem` first), so the waiter
-                // we register below is guaranteed to be drained.
-                {
-                    let mut waiters = shared.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                    waiters
-                        .entry(job_id)
-                        .or_default()
-                        .push((Arc::clone(writer), submit.tag.clone()));
-                }
-                drop(idem);
-                emit_idem_hit(shared, job_id, &submit, "in_flight");
-                send_line(writer, &protocol::accepted(job_id, &submit.tag));
-                return;
-            }
-            None => {}
+        if answer_duplicate(&idem, key, &submit, writer, shared, false) {
+            return;
         }
     }
     let job = match (shared.factory)(&submit) {
@@ -1405,83 +1421,58 @@ fn handle_submit(
         let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
         // A racing duplicate may have won between our peek and now;
         // defer to it exactly as the peek would have.
-        match idem.entries.get(key) {
-            Some(IdemState::Done {
-                job_id,
-                job,
-                outcome,
-            }) => {
-                let (existing, line) =
-                    (*job_id, protocol::done(*job_id, job, outcome, &submit.tag));
-                drop(idem);
-                emit_idem_hit(shared, existing, &submit, "race");
-                send_line(writer, &protocol::accepted(existing, &submit.tag));
-                send_line(writer, &line);
-                writer.gate.release();
-                return;
-            }
-            Some(IdemState::InFlight { job_id }) => {
-                let existing = *job_id;
-                {
-                    let mut waiters = shared.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                    waiters
-                        .entry(existing)
-                        .or_default()
-                        .push((Arc::clone(writer), submit.tag.clone()));
-                }
-                drop(idem);
-                emit_idem_hit(shared, existing, &submit, "race");
-                send_line(writer, &protocol::accepted(existing, &submit.tag));
-                return;
-            }
-            None => {}
+        if answer_duplicate(&idem, key, &submit, writer, shared, true) {
+            return;
         }
         idem.entries
             .insert(key.clone(), IdemState::InFlight { job_id });
     }
-    let pending = Pending {
-        job_id,
-        job,
-        deadline,
-        tag: submit.tag.clone(),
-        idem_key: submit.idem_key.clone(),
-        writer: Some(Arc::clone(writer)),
-        received: Some(received),
-        queued: Instant::now(),
-    };
-    let offered = {
+    let reserved = {
         let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-        adm.offer(&submit.tenant, pending, bytes)
+        adm.reserve(&submit.tenant, bytes)
     };
-    match offered {
-        Ok(()) => {
-            if let Some(w) = &shared.wal {
-                let record = WalRecord::Accepted {
-                    job_id,
-                    tenant: submit.tenant.clone(),
-                    job: submit.job.clone(),
-                    params: submit.params.clone(),
-                    deadline_ms: submit.deadline_ms,
-                    idem_key: submit.idem_key.clone(),
-                    bytes: bytes as u64,
-                };
-                let fsync_start = Instant::now();
-                let appended = w.append(&record);
-                metrics::SERVICE_WAL_FSYNC_US.record(fsync_start.elapsed().as_micros() as u64);
-                if let Err(e) = appended {
-                    eprintln!("service: wal append failed for job {job_id}: {e}");
-                    send_line(
-                        writer,
-                        &protocol::error_coded(
-                            "acceptance could not be made durable; retry",
-                            "wal_failed",
-                            true,
-                            &submit.tag,
-                        ),
-                    );
-                    return;
-                }
+    if let Err(reason) = reserved {
+        // The key never entered flight: forget it so a later
+        // (post-backoff) retry is a fresh submission.
+        if let Some(key) = &submit.idem_key {
+            let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
+            if matches!(idem.entries.get(key), Some(IdemState::InFlight { job_id: id }) if *id == job_id)
+            {
+                idem.entries.remove(key);
             }
+        }
+        metrics::SERVICE_SHED.inc();
+        if crate::obs::telemetry_active() {
+            crate::obs::telemetry::emit(
+                "service_shed",
+                vec![
+                    ("tenant", Value::Str(submit.tenant.clone())),
+                    ("job", Value::Str(submit.job.clone())),
+                    ("reason", Value::Str(reason.as_str().into())),
+                ],
+            );
+        }
+        send_line(writer, &protocol::shed(reason, &submit.tag));
+        writer.gate.release();
+        return;
+    }
+    let mut durable = Ok(());
+    if let Some(w) = &shared.wal {
+        let record = WalRecord::Accepted {
+            job_id,
+            tenant: submit.tenant.clone(),
+            job: submit.job.clone(),
+            params: submit.params.clone(),
+            deadline_ms: submit.deadline_ms,
+            idem_key: submit.idem_key.clone(),
+            bytes: bytes as u64,
+        };
+        let fsync_start = Instant::now();
+        durable = w.append(&record);
+        metrics::SERVICE_WAL_FSYNC_US.record(fsync_start.elapsed().as_micros() as u64);
+    }
+    match durable {
+        Ok(()) => {
             if crate::obs::telemetry_active() {
                 crate::obs::telemetry::emit(
                     "service_admit",
@@ -1494,36 +1485,80 @@ fn handle_submit(
             }
             send_line(writer, &protocol::accepted(job_id, &submit.tag));
         }
-        Err(reason) => {
-            // The key never entered flight: forget it so a later
-            // (post-backoff) retry is a fresh submission.
-            if let Some(key) = &submit.idem_key {
-                let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-                if matches!(idem.entries.get(key), Some(IdemState::InFlight { job_id: id }) if *id == job_id)
-                {
-                    idem.entries.remove(key);
-                }
-            }
-            metrics::SERVICE_SHED.inc();
-            if crate::obs::telemetry_active() {
-                crate::obs::telemetry::emit(
-                    "service_shed",
-                    vec![
-                        ("tenant", Value::Str(submit.tenant.clone())),
-                        ("job", Value::Str(submit.job.clone())),
-                        ("reason", Value::Str(reason.as_str().into())),
-                    ],
-                );
-            }
-            send_line(writer, &protocol::shed(reason, &submit.tag));
-            writer.gate.release();
+        Err(e) => {
+            eprintln!("service: wal append failed for job {job_id}: {e}");
+            send_line(
+                writer,
+                &protocol::error_coded(
+                    "acceptance could not be made durable; retry",
+                    "wal_failed",
+                    true,
+                    &submit.tag,
+                ),
+            );
         }
     }
+    let pending = Pending {
+        job_id,
+        job,
+        deadline,
+        tag: submit.tag,
+        idem_key: submit.idem_key,
+        writer: Some(Arc::clone(writer)),
+        received: Some(received),
+        queued: Instant::now(),
+    };
+    {
+        let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
+        adm.publish(&submit.tenant, pending, bytes);
+    }
+    // In a drain the scheduler may have picked the job up on another
+    // wakeup, cancelled it and exited already: nobody is left to tell.
+    let _ = shared.sched_tx.send(SchedMsg::Admitted);
 }
 
-/// Telemetry for a deduplicated (idempotency-key) submit.
-fn emit_idem_hit(shared: &Arc<Shared>, job_id: u64, submit: &Submit, phase: &str) {
-    let _ = shared;
+/// Answers `submit` from the job that already owns its idempotency
+/// `key`, if there is one: a completed key replays `accepted` + `done`
+/// (releasing the pipeline slot), a key in flight parks this
+/// connection as a waiter for that job's `done`. Returns whether the
+/// submit was answered. `race` only labels the telemetry.
+///
+/// The caller holds `idem` across the call. The scheduler records a key
+/// done under the same lock before it collects waiters, so a waiter
+/// parked here is never missed, and its `accepted` is queued before
+/// that `done` can be.
+fn answer_duplicate(
+    idem: &IdemMap,
+    key: &str,
+    submit: &Submit,
+    writer: &ConnWriter,
+    shared: &Shared,
+    race: bool,
+) -> bool {
+    let (job_id, phase) = match idem.entries.get(key) {
+        Some(IdemState::Done {
+            job_id,
+            job,
+            outcome,
+        }) => {
+            send_line(writer, &protocol::accepted(*job_id, &submit.tag));
+            send_line(writer, &protocol::done(*job_id, job, outcome, &submit.tag));
+            writer.gate.release();
+            (*job_id, "done")
+        }
+        Some(IdemState::InFlight { job_id }) => {
+            {
+                let mut waiters = shared.waiters.lock().unwrap_or_else(|e| e.into_inner());
+                waiters
+                    .entry(*job_id)
+                    .or_default()
+                    .push((Arc::clone(writer), submit.tag.clone()));
+            }
+            send_line(writer, &protocol::accepted(*job_id, &submit.tag));
+            (*job_id, "in_flight")
+        }
+        None => return false,
+    };
     if crate::obs::telemetry_active() {
         crate::obs::telemetry::emit(
             "service_idem_hit",
@@ -1531,517 +1566,14 @@ fn emit_idem_hit(shared: &Arc<Shared>, job_id: u64, submit: &Submit, phase: &str
                 ("job_id", Value::UInt(job_id)),
                 ("tenant", Value::Str(submit.tenant.clone())),
                 ("job", Value::Str(submit.job.clone())),
-                ("phase", Value::Str(phase.to_string())),
-            ],
-        );
-    }
-}
-
-/// The scheduler: dispatch, deadlines, completions, progress frames,
-/// drain.
-fn scheduler_loop(
-    shared: &Arc<Shared>,
-    tx: Sender<(u64, WorkerOutcome)>,
-    rx: Receiver<(u64, WorkerOutcome)>,
-    unbuildable: Vec<(String, u64, String, Option<String>, JobError)>,
-) -> ServiceReport {
-    let mut journal = shared.cfg.journal_path.as_deref().and_then(|p| {
-        Journal::open_with_sync(p, false, shared.cfg.sync)
-            .map_err(|e| eprintln!("service: journal {}: {e}", p.display()))
-            .ok()
-    });
-    let mut running: HashMap<u64, Running> = HashMap::new();
-
-    // Recovered jobs whose factory rejected them (the registry changed
-    // across the restart): give them a durable terminal outcome right
-    // away — "exactly one terminal outcome per accepted job" has to
-    // hold even for work that can no longer run.
-    for (tenant, job_id, name, idem_key, err) in unbuildable {
-        finish_job(
-            shared,
-            &mut journal,
-            &tenant,
-            job_id,
-            &name,
-            0,
-            &None,
-            &idem_key,
-            &None,
-            Err(err),
-        );
-    }
-
-    // Service heartbeat: queue/running/shed depth plus the process-wide
-    // RSS and warm-pool counters, emitted on the shared obs cadence and
-    // visible to subscribers even without a trace dir. The tick gates
-    // itself so an idle, untraced server does no per-interval work.
-    let _heartbeat = {
-        let shared = Arc::clone(shared);
-        crate::obs::Heartbeat::spawn("service", heartbeat_interval(), move || {
-            // The Prometheus dump only needs a trace directory, not a
-            // telemetry consumer.
-            metrics::write_prom_if_traced();
-            if !crate::obs::telemetry_active() {
-                return;
-            }
-            let (queued, inflight, done, shed, draining) = {
-                let adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
                 (
-                    adm.queued_total() as u64,
-                    adm.inflight_total() as u64,
-                    adm.done_total(),
-                    adm.shed_total(),
-                    adm.draining(),
-                )
-            };
-            let (warm_hits, warm_misses, warm_evictions) = crate::warm_counters();
-            crate::obs::telemetry::emit(
-                "service_heartbeat",
-                vec![
-                    ("queued", Value::UInt(queued)),
-                    ("running", Value::UInt(inflight)),
-                    ("done", Value::UInt(done)),
-                    ("shed", Value::UInt(shed)),
-                    ("draining", Value::Bool(draining)),
-                    ("rss_bytes", Value::UInt(crate::obs::current_rss_bytes())),
-                    ("warm_hits", Value::UInt(warm_hits)),
-                    ("warm_misses", Value::UInt(warm_misses)),
-                    ("warm_evictions", Value::UInt(warm_evictions)),
-                ],
-            );
-            crate::obs::telemetry::emit("service_metrics", metrics::heartbeat_fields());
-        })
-    };
-
-    let mut draining = false;
-    let mut drain_started: Option<Instant> = None;
-    let mut tokens_cancelled = false;
-
-    loop {
-        // 1. Notice a drain request and run its first step exactly once:
-        //    stop admission, journal the queued backlog as cancelled.
-        if !draining && shared.stop.load(Ordering::SeqCst) {
-            draining = true;
-            drain_started = Some(Instant::now());
-            let evicted = {
-                let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-                adm.set_draining();
-                adm.evict_queued()
-            };
-            for (tenant, pending) in evicted {
-                if let Some(rcv) = pending.received {
-                    metrics::record_request(&tenant, rcv.elapsed().as_micros() as u64);
-                }
-                let outcome = Err(JobError::Cancelled {
-                    reason: "drain: evicted from queue".into(),
-                });
-                finish_job(
-                    shared,
-                    &mut journal,
-                    &tenant,
-                    pending.job_id,
-                    &pending.job.spec.name,
-                    pending.job.spec.seed,
-                    &pending.tag,
-                    &pending.idem_key,
-                    &pending.writer,
-                    outcome,
-                );
-                shared.cancelled.fetch_add(1, Ordering::Relaxed);
-                // Nothing was in flight for this job: bump only the
-                // tenant's terminal count.
-                let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-                adm.finish_queued(&tenant);
-            }
-        }
-
-        // 2. Dispatch while worker slots are free (skipped once
-        //    draining — the queue is already empty then).
-        while running.len() < shared.cfg.workers {
-            let next = {
-                let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-                adm.next_dispatch()
-            };
-            let Some((tenant, pending)) = next else { break };
-            dispatch(shared, &tx, &mut running, tenant, pending);
-        }
-
-        // 3. Collect one completion (bounded wait keeps the watchdog
-        //    and drain timers live even when nothing completes).
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((job_id, outcome)) => {
-                // An abandoned job's late completion: its record is
-                // gone; drop the message.
-                if let Some(run) = running.remove(&job_id) {
-                    let outcome = interpret(outcome, &run);
-                    record_terminal_latency(&run);
-                    if matches!(
-                        outcome,
-                        Err(JobError::TimedOut { .. } | JobError::Cancelled { .. })
-                    ) {
-                        shared.cancelled.fetch_add(1, Ordering::Relaxed);
-                    }
-                    finish_job(
-                        shared,
-                        &mut journal,
-                        &run.tenant,
-                        job_id,
-                        &run.name,
-                        run.seed,
-                        &run.tag,
-                        &run.idem_key,
-                        &run.writer,
-                        outcome,
-                    );
-                    let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-                    adm.finish(&run.tenant);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => unreachable!("scheduler holds a sender"),
-        }
-
-        // 4. Deadline watchdog + progress streaming: cancel overdue
-        //    tokens, abandon jobs that ignored the cancel past
-        //    `cancel_grace`, and stream a `progress` frame to each
-        //    running job's submitter on the configured cadence.
-        let now = Instant::now();
-        let progress_every = shared.cfg.progress_interval;
-        let mut abandoned: Vec<u64> = Vec::new();
-        for (id, run) in running.iter_mut() {
-            if run.cancel_cause.is_none() && now >= run.deadline {
-                run.token.cancel();
-                run.cancel_cause = Some(CancelCause::Deadline);
-                run.cancelled_at = Some(now);
-            }
-            if let Some(at) = run.cancelled_at {
-                if now.duration_since(at) >= shared.cfg.cancel_grace {
-                    abandoned.push(*id);
-                }
-            }
-            if progress_every > Duration::ZERO
-                && now.duration_since(run.last_progress) >= progress_every
-            {
-                run.last_progress = now;
-                if let Some(w) = &run.writer {
-                    send_line(
-                        w,
-                        &protocol::progress(
-                            *id,
-                            &run.name,
-                            now.duration_since(run.started).as_millis() as u64,
-                            &run.tag,
-                        ),
-                    );
-                }
-            }
-        }
-        for id in abandoned {
-            let run = running.remove(&id).expect("abandoned id vanished");
-            record_terminal_latency(&run);
-            let outcome = Err(abandon_error(&run));
-            shared.cancelled.fetch_add(1, Ordering::Relaxed);
-            finish_job(
-                shared,
-                &mut journal,
-                &run.tenant,
-                id,
-                &run.name,
-                run.seed,
-                &run.tag,
-                &run.idem_key,
-                &run.writer,
-                outcome,
-            );
-            let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-            adm.finish(&run.tenant);
-        }
-
-        // 5. Drain progression: natural-finish window, then cancel
-        //    everything still running; exit once nothing is left.
-        if draining {
-            if running.is_empty() {
-                break;
-            }
-            if !tokens_cancelled
-                && drain_started.is_some_and(|t| t.elapsed() >= shared.cfg.drain_grace)
-            {
-                tokens_cancelled = true;
-                let now = Instant::now();
-                for run in running.values_mut() {
-                    if run.cancel_cause.is_none() {
-                        run.token.cancel();
-                        run.cancel_cause = Some(CancelCause::Drain);
-                        run.cancelled_at = Some(now);
-                    }
-                }
-            }
-        }
-    }
-
-    // Drain complete: flush and report. (Journal appends flush per
-    // line; dropping it closes the file.)
-    drop(journal);
-    let report = {
-        let adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-        ServiceReport {
-            done: adm.done_total(),
-            shed: adm.shed_total(),
-            cancelled: shared.cancelled.load(Ordering::Relaxed),
-            recovered: shared.recovered.load(Ordering::Relaxed),
-        }
-    };
-    if crate::obs::telemetry_active() {
-        crate::obs::telemetry::emit(
-            "service_drained",
-            vec![
-                ("done", Value::UInt(report.done)),
-                ("shed", Value::UInt(report.shed)),
-                ("cancelled", Value::UInt(report.cancelled)),
-                ("recovered", Value::UInt(report.recovered)),
+                    "phase",
+                    Value::Str(if race { "race" } else { phase }.to_string()),
+                ),
             ],
         );
     }
-    shared.done.store(true, Ordering::SeqCst);
-    // The reactor may be parked in a poll: start its final flush now.
-    shared.wake.waker.wake();
-    report
-}
-
-/// Telemetry heartbeat period: `VSNOOP_HEARTBEAT_MS`, default 1000
-/// (same knob, same warn-once parser as the campaign supervisor).
-fn heartbeat_interval() -> Duration {
-    Duration::from_millis(crate::knob::env_positive_u64("VSNOOP_HEARTBEAT_MS").unwrap_or(1000))
-}
-
-/// Spawns the worker thread for one dispatched job and records it in
-/// the running map.
-fn dispatch(
-    shared: &Arc<Shared>,
-    tx: &Sender<(u64, WorkerOutcome)>,
-    running: &mut HashMap<u64, Running>,
-    tenant: String,
-    pending: Pending,
-) {
-    let Pending {
-        job_id,
-        job,
-        deadline,
-        tag,
-        idem_key,
-        writer,
-        received,
-        queued,
-    } = pending;
-    metrics::record_queue_wait(&tenant, queued.elapsed().as_micros() as u64);
-    let token = CancelToken::new();
-    let limit_ms = deadline.as_millis() as u64;
-    let now = Instant::now();
-    running.insert(
-        job_id,
-        Running {
-            tenant: tenant.clone(),
-            name: job.spec.name.clone(),
-            seed: job.spec.seed,
-            token: token.clone(),
-            started: now,
-            deadline: now + deadline,
-            limit_ms,
-            tag,
-            idem_key,
-            writer,
-            received,
-            cancel_cause: None,
-            cancelled_at: None,
-            last_progress: now,
-        },
-    );
-    if crate::obs::telemetry_active() {
-        crate::obs::telemetry::emit(
-            "service_dispatch",
-            vec![
-                ("job_id", Value::UInt(job_id)),
-                ("tenant", Value::Str(tenant.clone())),
-                ("job", Value::Str(job.spec.name.clone())),
-            ],
-        );
-    }
-    let tx = tx.clone();
-    let spawned = std::thread::Builder::new()
-        .name(format!("vsnoop-svc-job-{job_id}"))
-        .spawn(move || {
-            let ctx = JobCtx {
-                token: token.clone(),
-                attempt: 1,
-            };
-            let name = job.spec.name.clone();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                crate::runner::with_current(token.clone(), || {
-                    crate::obs::with_scope(&name, || {
-                        crate::obs::with_tenant(&tenant, || (job.run)(&ctx))
-                    })
-                })
-            }));
-            let outcome = match result {
-                Ok(Ok(output)) => WorkerOutcome::Ok(output),
-                Ok(Err(message)) => WorkerOutcome::Failed(message),
-                Err(payload) => {
-                    if payload.downcast_ref::<Cancelled>().is_some() {
-                        WorkerOutcome::CancelUnwind
-                    } else {
-                        WorkerOutcome::Panicked(crate::runner::panic_message(payload.as_ref()))
-                    }
-                }
-            };
-            // The scheduler may have abandoned us; a closed channel is
-            // simply ignored.
-            let _ = tx.send((job_id, outcome));
-        });
-    if spawned.is_err() {
-        // Thread spawn failure (resource exhaustion): fail the job
-        // through the normal path rather than leaking the slot.
-        let run = running.remove(&job_id).expect("just inserted");
-        let outcome = Err(JobError::Failed {
-            message: "service: could not spawn worker thread".into(),
-        });
-        let mut journal_none: Option<Journal> = None;
-        finish_job(
-            shared,
-            &mut journal_none,
-            &run.tenant,
-            job_id,
-            &run.name,
-            run.seed,
-            &run.tag,
-            &run.idem_key,
-            &run.writer,
-            outcome,
-        );
-        let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-        adm.finish(&run.tenant);
-    }
-}
-
-/// Records the run-time and end-to-end latency histograms for a job
-/// leaving the running map (any terminal path). Jobs recovered from
-/// the WAL have no `received` instant and skip the end-to-end record.
-fn record_terminal_latency(run: &Running) {
-    let now = Instant::now();
-    metrics::SERVICE_RUN_US.record(now.duration_since(run.started).as_micros() as u64);
-    if let Some(rcv) = run.received {
-        metrics::record_request(&run.tenant, now.duration_since(rcv).as_micros() as u64);
-    }
-}
-
-/// Maps a worker's raw outcome to the client-visible error, using the
-/// scheduler's knowledge of *why* a cancellation unwind happened.
-fn interpret(outcome: WorkerOutcome, run: &Running) -> Result<String, JobError> {
-    match outcome {
-        WorkerOutcome::Ok(output) => Ok(output),
-        WorkerOutcome::Failed(message) => Err(JobError::Failed { message }),
-        WorkerOutcome::Panicked(message) => Err(JobError::Panicked { message }),
-        WorkerOutcome::CancelUnwind => match run.cancel_cause {
-            Some(CancelCause::Deadline) | None => Err(JobError::TimedOut {
-                limit_ms: run.limit_ms,
-            }),
-            Some(CancelCause::Drain) => Err(JobError::Cancelled {
-                reason: "drain".into(),
-            }),
-        },
-    }
-}
-
-/// The error journaled for a job abandoned after ignoring its cancel.
-fn abandon_error(run: &Running) -> JobError {
-    match run.cancel_cause {
-        Some(CancelCause::Drain) => JobError::Cancelled {
-            reason: "drain: abandoned (never polled)".into(),
-        },
-        _ => JobError::TimedOut {
-            limit_ms: run.limit_ms,
-        },
-    }
-}
-
-/// Terminal bookkeeping shared by every completion path: telemetry,
-/// WAL `done` record, journal entry, idempotency-map completion,
-/// `done` responses to the submitting connection and every waiter —
-/// each send also releasing that connection's pipeline-gate slot.
-///
-/// Ordering is the durability contract's other half: the outcome is
-/// made durable (WAL fsync, journal) *before* any client sees `done`,
-/// so an outcome a client has observed can never be re-run after a
-/// restart — that would duplicate the job's side effects.
-#[allow(clippy::too_many_arguments)]
-fn finish_job(
-    shared: &Arc<Shared>,
-    journal: &mut Option<Journal>,
-    tenant: &str,
-    job_id: u64,
-    name: &str,
-    seed: u64,
-    tag: &Option<String>,
-    idem_key: &Option<String>,
-    writer: &Option<ConnWriter>,
-    outcome: Result<String, JobError>,
-) {
-    metrics::SERVICE_DONE.inc();
-    if crate::obs::telemetry_active() {
-        let status = match &outcome {
-            Ok(_) => "ok".to_string(),
-            Err(e) => e.kind().to_string(),
-        };
-        crate::obs::telemetry::emit(
-            "service_done",
-            vec![
-                ("job_id", Value::UInt(job_id)),
-                ("tenant", Value::Str(tenant.to_string())),
-                ("job", Value::Str(name.to_string())),
-                ("status", Value::Str(status)),
-            ],
-        );
-    }
-    if let Some(w) = &shared.wal {
-        let record = WalRecord::Done {
-            job_id,
-            outcome: outcome.clone(),
-        };
-        if let Err(e) = w.append(&record) {
-            eprintln!("service: wal done append failed for job {job_id}: {e}");
-        }
-    }
-    if let Some(j) = journal.as_mut() {
-        let entry = protocol::journal_entry(job_id, name, seed, outcome.clone());
-        if let Err(e) = j.append(&entry) {
-            eprintln!("service: journal append failed: {e}");
-        }
-    }
-    // Record completion in the idem map *before* collecting waiters
-    // (same idem → waiters lock order as submit-side registration): a
-    // duplicate submit either sees InFlight and lands in the waiter
-    // list we are about to drain, or sees Done and answers itself.
-    let waiting = {
-        if let Some(key) = idem_key {
-            let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-            idem.record_done(
-                key.clone(),
-                job_id,
-                name.to_string(),
-                outcome.clone(),
-                shared.cfg.idem_cap,
-            );
-        }
-        let mut waiters = shared.waiters.lock().unwrap_or_else(|e| e.into_inner());
-        waiters.remove(&job_id).unwrap_or_default()
-    };
-    if let Some(w) = writer {
-        send_line(w, &protocol::done(job_id, name, &outcome, tag));
-        w.gate.release();
-    }
-    for (w, waiter_tag) in waiting {
-        send_line(&w, &protocol::done(job_id, name, &outcome, &waiter_tag));
-        w.gate.release();
-    }
+    true
 }
 
 #[cfg(test)]

@@ -1224,6 +1224,113 @@ fn metrics_op_reports_counts_that_reconcile_with_submits() {
     assert_eq!(report.done, JOBS);
 }
 
+/// Tentpole: the scheduler has no poll interval. Each of a run of
+/// zero-work submits on an idle server is dispatched because its
+/// admission said so, and finished because its worker said so; no
+/// timer ever comes due, however slow the host. (Deadlines far away and
+/// no progress cadence, so the only timers that could fire are ones a
+/// poll would need.)
+#[test]
+fn sequential_submits_are_dispatched_by_admission_not_by_a_timer() {
+    let cfg = ServiceConfig {
+        default_deadline: Duration::from_secs(3600),
+        progress_interval: Duration::ZERO,
+        ..ServiceConfig::default()
+    };
+    let server = start(test_factory(Arc::default()), cfg);
+    let mut conn = Conn::open(&server);
+
+    const JOBS: u64 = 50;
+    for i in 0..JOBS {
+        conn.submit("acme", "quick", None, &format!("s{i}"));
+        match conn.recv_terminal() {
+            Response::Done { outcome, .. } => assert!(outcome.is_ok()),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let woken = server.scheduler_wakeups();
+    assert_eq!(woken.timers, 0, "{woken:?}");
+    assert_eq!(woken.messages, 2 * JOBS, "one admitted, one completed each");
+
+    server.shutdown();
+    assert_eq!(server.wait().done, JOBS);
+}
+
+/// Tentpole: an idle server sleeps. With nothing running no timer is
+/// armed, so over any stretch of idleness the scheduler thread wakes
+/// zero times — the assertion cannot fail for being slow, only for a
+/// wakeup that should not exist.
+#[test]
+fn idle_server_never_wakes_its_scheduler() {
+    let server = start(test_factory(Arc::default()), ServiceConfig::default());
+    let mut conn = Conn::open(&server);
+    conn.send(r#"{"op":"ping"}"#);
+    assert_eq!(conn.recv(), Response::Pong);
+
+    std::thread::sleep(Duration::from_millis(200));
+    let woken = server.scheduler_wakeups();
+    assert_eq!((woken.messages, woken.timers), (0, 0));
+
+    server.shutdown();
+    server.wait();
+}
+
+/// Satellite: the wire contract SERVICE.md states — a job's `accepted`
+/// frame always precedes its `done` — under the load that used to break
+/// it: 2 000 zero-work submits pipelined over 4 connections, each job
+/// finishing within microseconds of its admission.
+#[test]
+fn accepted_always_precedes_done_for_pipelined_submits() {
+    const CONNS: usize = 4;
+    const PER_CONN: usize = 500;
+    let cfg = ServiceConfig {
+        queue_cap: CONNS * PER_CONN,
+        quota: TenantQuota {
+            max_queued: PER_CONN,
+            ..TenantQuota::default()
+        },
+        pipeline_limit: PER_CONN,
+        ..ServiceConfig::default()
+    };
+    let server = start(test_factory(Arc::default()), cfg);
+
+    std::thread::scope(|s| {
+        for c in 0..CONNS {
+            let mut conn = Conn::open(&server);
+            s.spawn(move || {
+                let tenant = format!("pipe{c}");
+                for i in 0..PER_CONN {
+                    conn.submit(&tenant, "quick", None, &format!("{i}"));
+                }
+                let mut accepted = std::collections::HashSet::new();
+                let mut done = 0;
+                while done < PER_CONN {
+                    match conn.recv() {
+                        Response::Accepted { job_id, .. } => {
+                            accepted.insert(job_id);
+                        }
+                        Response::Done {
+                            job_id, outcome, ..
+                        } => {
+                            assert!(outcome.is_ok());
+                            assert!(
+                                accepted.contains(&job_id),
+                                "connection {c}: done for job {job_id} before its accepted"
+                            );
+                            done += 1;
+                        }
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+                assert_eq!(accepted.len(), PER_CONN);
+            });
+        }
+    });
+
+    server.shutdown();
+    assert_eq!(server.wait().done, (CONNS * PER_CONN) as u64);
+}
+
 /// Tentpole: the reactor's incremental frame assembly — a request
 /// torn into tiny writes with pauses in between (worst-case
 /// nonblocking reads) still parses as exactly one frame, and several

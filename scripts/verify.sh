@@ -320,4 +320,11 @@ grep -q '^drained: ' "$DUR_DIR/serve2.out"
 cat "$DUR_DIR/acme/fig2.txt" "$DUR_DIR/globex/table2.txt" \
   | cmp - "$DIRECT_DIR/campaign.txt"
 
+echo "==> benchmark smoke (serve_open: open loop through the real server)"
+# One second of the repository benchmark's service workload (builds the
+# standalone package under benchmark/ on first use). It exits non-zero
+# if a request goes unanswered or a reply is wrong; `set -e` does the
+# rest. The latency it prints is not gated here — BENCHMARK.json is.
+benchmark/run.sh --quick --workload serve_open
+
 echo "verify.sh: ALL CHECKS PASSED"
