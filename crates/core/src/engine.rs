@@ -33,8 +33,8 @@
 //! worker-sweep differential tests and the frozen reference engine hold
 //! that line. Workloads that need serial-only machinery (fault injection,
 //! the runtime checker, counter-based map shrinking, RegionScout, epoch
-//! recording) are rejected by [`eligible`] and fall back to the untouched
-//! serial path.
+//! recording, extra filter lanes) are rejected by [`eligible`] and fall
+//! back to the untouched serial path.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -60,8 +60,9 @@ const BATCH_ROUNDS: usize = 128;
 pub(super) fn eligible(sim: &Simulator) -> bool {
     !sim.protocol.is_reference()
         && sim.faults.is_none()
-        && sim.net.link_faults().is_none()
-        && !sim.policy.removes_cores()
+        && sim.extra_lanes.is_empty()
+        && sim.lane.net.link_faults().is_none()
+        && !sim.lane.policy.removes_cores()
         && sim.region_filter.is_none()
         && sim.checker.is_none()
         && sim.epochs.is_none()
@@ -187,7 +188,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
     workers: usize,
 ) {
     let cfg = sim.cfg;
-    let policy = sim.policy;
+    let policy = sim.lane.policy;
     let content_policy = sim.content_policy;
     let n = cfg.n_cores();
     let w = workers.clamp(1, N_SHARDS);
@@ -197,14 +198,11 @@ pub(super) fn run_batched<W: SystemWorkload>(
         l1,
         l2,
         protocol,
-        net,
         hv,
-        maps,
         tlbs,
         friends,
-        removal_pending,
+        lane,
         cycle,
-        stats,
         diagnostics,
         diagnostics_total,
         ..
@@ -239,7 +237,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
             l2: l2s,
             bank,
             lens: {
-                let mut lens = net.clone();
+                let mut lens = lane.net.clone();
                 lens.reset_traffic();
                 lens
             },
@@ -274,7 +272,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
         let mut replayed_bytes: u64 = 0;
         let mut next_migration = migration.as_ref().map(|(p, _)| *cycle + p);
         let mut migration_no = 0u64;
-        let mut plan = new_plan(maps, friends);
+        let mut plan = new_plan(&lane.maps, friends);
 
         // Engine-phase metrics are explicitly gated (VSNOOP_METRICS /
         // `metrics::set_enabled`): with the gate off this path takes no
@@ -285,7 +283,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
         for _ in 0..rounds {
             crate::runner::poll_current();
             *cycle += cfg.cycles_per_access;
-            stats.rounds += 1;
+            lane.stats.rounds += 1;
             if let (Some((period, pick)), Some(due)) = (migration.as_mut(), next_migration.as_mut())
             {
                 if *cycle >= *due {
@@ -293,11 +291,11 @@ pub(super) fn run_batched<W: SystemWorkload>(
                     // happen-before this round's accesses: flush first.
                     note_procs_phase(&mut batch_start);
                     flush_batch(
-                        std::mem::replace(&mut plan, new_plan(maps, friends)),
+                        std::mem::replace(&mut plan, new_plan(&lane.maps, friends)),
                         &plan_txs,
                         &out_rx,
-                        stats,
-                        net.traffic().byte_links(),
+                        &mut lane.stats,
+                        lane.net.traffic().byte_links(),
                         &mut replayed_bytes,
                         &cfg,
                         metrics_on,
@@ -309,10 +307,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
                     if a.vm() != b.vm() {
                         swap_vcpus_inline(
                             hv,
-                            maps,
-                            net,
-                            stats,
-                            removal_pending,
+                            lane,
                             diagnostics,
                             diagnostics_total,
                             &cfg,
@@ -322,7 +317,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
                         );
                     }
                     // Re-freeze the (possibly changed) maps.
-                    plan = new_plan(maps, friends);
+                    plan = new_plan(&lane.maps, friends);
                 }
             }
             plan.round_cycles.push(*cycle);
@@ -332,13 +327,13 @@ pub(super) fn run_batched<W: SystemWorkload>(
                     continue;
                 };
                 let access = workload.next_access(vcpu);
-                stats.accesses += 1;
+                lane.stats.accesses += 1;
                 let c = core.index();
                 let block = BlockAddr::new(access.addr / sim_mem::BLOCK_BYTES);
                 let page = access.addr / PAGE_BYTES;
                 let sharing = tlbs[c].lookup(page, workload.directory());
                 if sharing == SharingType::RoShared {
-                    stats.content_accesses += 1;
+                    lane.stats.content_accesses += 1;
                 }
                 plan.entries.push(PlanEntry {
                     round,
@@ -352,11 +347,11 @@ pub(super) fn run_batched<W: SystemWorkload>(
             if plan.round_cycles.len() >= BATCH_ROUNDS {
                 note_procs_phase(&mut batch_start);
                 flush_batch(
-                    std::mem::replace(&mut plan, new_plan(maps, friends)),
+                    std::mem::replace(&mut plan, new_plan(&lane.maps, friends)),
                     &plan_txs,
                     &out_rx,
-                    stats,
-                    net.traffic().byte_links(),
+                    &mut lane.stats,
+                    lane.net.traffic().byte_links(),
                     &mut replayed_bytes,
                     &cfg,
                     metrics_on,
@@ -369,8 +364,8 @@ pub(super) fn run_batched<W: SystemWorkload>(
             plan,
             &plan_txs,
             &out_rx,
-            stats,
-            net.traffic().byte_links(),
+            &mut lane.stats,
+            lane.net.traffic().byte_links(),
             &mut replayed_bytes,
             &cfg,
             metrics_on,
@@ -393,14 +388,14 @@ pub(super) fn run_batched<W: SystemWorkload>(
     shard_outs.sort_unstable_by_key(|o| o.k);
     let mut banks_back = Vec::with_capacity(N_SHARDS);
     for out in shard_outs {
-        stats.add_delta(&out.stats);
+        lane.stats.add_delta(&out.stats);
         for (cache, delta) in l1.iter_mut().zip(&out.l1_deltas) {
             cache.apply_delta(delta);
         }
         for (cache, delta) in l2.iter_mut().zip(&out.l2_deltas) {
             cache.apply_delta(delta);
         }
-        net.merge_traffic(&out.traffic);
+        lane.net.merge_traffic(&out.traffic);
         *diagnostics_total += out.diags_total;
         for e in out.diags {
             if diagnostics.len() < 64 {
@@ -517,10 +512,7 @@ fn utilization_at(cfg: &SystemConfig, byte_links: u64, cycle: u64) -> f64 {
 #[allow(clippy::too_many_arguments)]
 fn swap_vcpus_inline(
     hv: &mut Hypervisor,
-    maps: &mut VcpuMapFile,
-    net: &mut Network,
-    stats: &mut SimStats,
-    removal_pending: &mut [Vec<Option<u64>>],
+    lane: &mut FilterLane,
     diagnostics: &mut Vec<SimError>,
     diagnostics_total: &mut u64,
     cfg: &SystemConfig,
@@ -546,33 +538,17 @@ fn swap_vcpus_inline(
     }
     for (vcpu, old, new) in [(a, ca, cb), (b, cb, ca)] {
         let vm = vcpu.vm();
-        if maps.add_core(vm.index(), new) {
-            stats.map_adds += 1;
-            account_map_sync_inline(net, maps, cfg, vm);
+        if lane.maps.add_core(vm.index(), new) {
+            lane.stats.map_adds += 1;
+            lane.account_map_sync_fast(cfg, vm);
         }
-        removal_pending[new.index()][vm.index()] = None;
+        lane.removal_pending[new.index()][vm.index()] = None;
         if hv.cores_of_vm(vm) & (1 << old.index()) == 0 {
-            removal_pending[old.index()][vm.index()] = Some(cycle);
+            lane.removal_pending[old.index()][vm.index()] = Some(cycle);
             // The serial path re-checks counter-based removal here;
             // eligibility guarantees the policy never removes cores.
         }
     }
-}
-
-/// [`Simulator::account_map_sync`] (fast path) over split borrows.
-fn account_map_sync_inline(net: &mut Network, maps: &VcpuMapFile, cfg: &SystemConfig, vm: VmId) {
-    let mask = maps.map(vm.index()).mask() & valid_core_mask(cfg.n_cores());
-    if mask == 0 {
-        return;
-    }
-    let first = mask.trailing_zeros();
-    let src = NodeId::new(first as u16);
-    let rest = mask & (mask - 1);
-    net.multicast(
-        src,
-        mask_cores(rest).map(|c| NodeId::new(c as u16)),
-        MessageKind::MapUpdate,
-    );
 }
 
 fn worker_loop(
@@ -768,6 +744,7 @@ impl ShardCtx<'_> {
                 TxOutcome {
                     success: w.success,
                     source: w.source,
+                    token_repliers: w.token_repliers,
                     invalidated: w.invalidated,
                     evicted: w.evicted,
                     evicted_dirty: w.evicted_dirty,
@@ -785,6 +762,7 @@ impl ShardCtx<'_> {
                 TxOutcome {
                     success: r.success,
                     source: r.source,
+                    token_repliers: 0,
                     invalidated: r.invalidated,
                     evicted: r.evicted,
                     evicted_dirty: r.evicted_dirty,

@@ -9,6 +9,13 @@
 //! `16 x misses` lookups). Fig. 9 reports the CDF of the *removal period*:
 //! the time from a vCPU's departure until the counter mechanism evicts the
 //! old core from the VM's map.
+//!
+//! The three policies share one architectural simulation per
+//! (application, period) cell: the first policy's lane executes the token
+//! transactions and the other two ride along as filter lanes
+//! ([`Simulator::add_filter_lanes`]), so a sweep over `a` applications and
+//! `p` periods runs `a x p` simulations, not `3 x a x p`. Fig. 9 reads the
+//! counter lane of the same 5 ms cells Fig. 7 simulates.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -67,26 +74,29 @@ fn make_picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, Vcpu
     }
 }
 
-/// Runs one app under one policy with periodic cross-VM shuffles and
-/// returns the simulator for inspection. The warm-up (pinned, no
-/// migrations yet) comes from the process-wide warm pool, exactly like
+/// Runs one app with periodic cross-VM shuffles under `policies` — one
+/// filter lane each, the first one primary — and returns the simulator
+/// for inspection. The warm-up (pinned, no migrations yet) comes from
+/// the process-wide warm pool, exactly like
 /// [`crate::experiments::run_pinned`].
 pub(crate) fn run_migrating(
     app: &'static AppProfile,
-    policy: FilterPolicy,
+    policies: &[FilterPolicy],
     period_ms: f64,
     cfg: SystemConfig,
     scale: RunScale,
 ) -> Simulator {
     let (mut sim, mut wl) = warm::warmed_pair(
         app,
-        policy,
+        policies[0],
         ContentPolicy::Broadcast,
         false,
         false,
         cfg,
         scale,
     );
+    sim.add_filter_lanes(&policies[1..])
+        .expect("migration cells are fault-free and route content pages by broadcast");
     let period_cycles = ((period_ms * cfg.cycles_per_ms as f64) as u64).max(1);
     sim.reset_measurement();
     // The run stands in for one finite application execution: it must
@@ -105,65 +115,96 @@ pub(crate) fn run_migrating(
     sim
 }
 
-/// Runs the Fig. 7/8 sweep for the given periods (paper: 5/2.5 in Fig. 7,
-/// 0.5/0.1 in Fig. 8).
-///
-/// The `app x period x policy` cells are independent, so they are fanned
-/// out over [`scatter`]'s shard pool (order-preserving: the output is
-/// byte-identical to the serial nested loop) and memoized, so Fig. 9 —
-/// which re-runs this sweep's counter cells — simulates them once.
-pub fn migration_sweep(periods_ms: &[f64], scale: RunScale) -> Vec<MigrationPoint> {
-    let cfg = SystemConfig::paper_default();
-    let mut cells = Vec::new();
-    for app in simulation_apps() {
-        for &period_ms in periods_ms {
-            for policy in migration_policies() {
-                cells.push((app, period_ms, policy));
-            }
-        }
-    }
-    scatter(cells, |(app, period_ms, policy)| {
-        let r = warm::cell(&CellSpec {
+/// The migration cell of `app` at `period_ms` under each of `policies`
+/// (in that order), from one simulation.
+fn policy_cells(
+    app: &'static AppProfile,
+    period_ms: f64,
+    scale: RunScale,
+    policies: &[FilterPolicy],
+) -> Vec<std::sync::Arc<warm::CellResult>> {
+    warm::lane_cells(
+        &CellSpec {
             app,
-            policy,
+            policy: policies[0],
             content_policy: ContentPolicy::Broadcast,
             content_sharing: false,
             host_activity: false,
-            cfg,
+            cfg: SystemConfig::paper_default(),
             scale,
             migration_period_ms: Some(period_ms),
-        });
-        // TokenB on the same trace performs n_cores lookups per
-        // transaction.
-        let baseline = r.stats.l2_misses.max(1) * cfg.n_cores() as u64;
-        MigrationPoint {
-            name: app.name,
-            period_ms,
-            policy,
-            norm_snoops_pct: 100.0 * r.stats.snoops as f64 / baseline as f64,
-        }
-    })
+        },
+        policies,
+    )
+}
+
+/// Runs the Fig. 7/8 sweep for the given periods (paper: 5/2.5 in Fig. 7,
+/// 0.5/0.1 in Fig. 8).
+pub fn migration_sweep(periods_ms: &[f64], scale: RunScale) -> Vec<MigrationPoint> {
+    migration_sweep_for(&simulation_apps(), periods_ms, scale)
+}
+
+/// [`migration_sweep`] over the given applications only.
+///
+/// The `app x period` cells are independent, so they are fanned out over
+/// [`scatter`]'s shard pool (order-preserving: the output is
+/// byte-identical to the serial nested loop). Each cell simulates all
+/// three policies at once and memoizes each policy's result, so Fig. 9 —
+/// which reads this sweep's counter cells — simulates nothing new.
+pub fn migration_sweep_for(
+    apps: &[&'static AppProfile],
+    periods_ms: &[f64],
+    scale: RunScale,
+) -> Vec<MigrationPoint> {
+    let n_cores = SystemConfig::paper_default().n_cores() as u64;
+    let cells: Vec<_> = apps
+        .iter()
+        .flat_map(|&app| periods_ms.iter().map(move |&period_ms| (app, period_ms)))
+        .collect();
+    let points = scatter(cells, |(app, period_ms)| {
+        let results = policy_cells(app, period_ms, scale, &migration_policies());
+        migration_policies()
+            .into_iter()
+            .zip(results)
+            .map(|(policy, r)| {
+                // TokenB on the same trace performs n_cores lookups per
+                // transaction.
+                let baseline = r.stats.l2_misses.max(1) * n_cores;
+                MigrationPoint {
+                    name: app.name,
+                    period_ms,
+                    policy,
+                    norm_snoops_pct: 100.0 * r.stats.snoops as f64 / baseline as f64,
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    points.into_iter().flatten().collect()
 }
 
 /// Runs the Fig. 9 experiment: removal-period samples under the counter
 /// mechanism with a 5 (scaled) ms migration period.
-///
-/// The cells here are a subset of the Fig. 7 sweep's, so with reuse
-/// enabled they come straight from the memo when Fig. 7 ran first (and
-/// vice versa).
 pub fn removal_periods(scale: RunScale) -> Vec<RemovalSample> {
-    let cfg = SystemConfig::paper_default();
-    let per_app = scatter(simulation_apps(), |app| {
-        let r = warm::cell(&CellSpec {
-            app,
-            policy: FilterPolicy::Counter,
-            content_policy: ContentPolicy::Broadcast,
-            content_sharing: false,
-            host_activity: false,
-            cfg,
-            scale,
-            migration_period_ms: Some(5.0),
-        });
+    removal_periods_for(&simulation_apps(), scale)
+}
+
+/// [`removal_periods`] over the given applications only. The counter
+/// results are lanes of the Fig. 7 sweep's 5 ms cells, so with reuse
+/// enabled they come straight from the memo when Fig. 7 ran first (and
+/// vice versa). Without reuse there is nothing to share, so only the
+/// counter lane is simulated.
+pub fn removal_periods_for(apps: &[&'static AppProfile], scale: RunScale) -> Vec<RemovalSample> {
+    let policies = if warm::warm_reuse_enabled() {
+        migration_policies().to_vec()
+    } else {
+        vec![FilterPolicy::Counter]
+    };
+    let counter = policies
+        .iter()
+        .position(|&p| p == FilterPolicy::Counter)
+        .expect("the counter mechanism is a migration policy");
+    let per_app = scatter(apps.to_vec(), |app| {
+        let r = &policy_cells(app, 5.0, scale, &policies)[counter];
         r.removal_log
             .iter()
             .filter_map(|e| {
@@ -191,6 +232,7 @@ pub fn cdf(samples: &mut [u64]) -> Vec<(u64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::SimStats;
 
     fn tiny() -> RunScale {
         // Counter-driven removals take ~120k rounds (= ~8 scaled ms), so
@@ -207,14 +249,16 @@ mod tests {
     fn counter_beats_base_under_fast_migration() {
         let cfg = SystemConfig::paper_default();
         let app = workloads::profile("ocean").unwrap();
-        let base = run_migrating(app, FilterPolicy::VsnoopBase, 0.1, cfg, tiny());
-        let counter = run_migrating(app, FilterPolicy::Counter, 0.1, cfg, tiny());
-        let norm = |sim: &Simulator| {
-            let s = sim.stats();
-            s.snoops as f64 / (s.l2_misses.max(1) * 16) as f64
-        };
-        let nb = norm(&base);
-        let nc = norm(&counter);
+        let sim = run_migrating(
+            app,
+            &[FilterPolicy::VsnoopBase, FilterPolicy::Counter],
+            0.1,
+            cfg,
+            tiny(),
+        );
+        let norm = |s: SimStats| s.snoops as f64 / (s.l2_misses.max(1) * 16) as f64;
+        let nb = norm(sim.lane_stats(0));
+        let nc = norm(sim.lane_stats(1));
         assert!(
             nc < nb,
             "counter ({nc:.2}) must filter more than vsnoop-base ({nb:.2}) at 0.1ms"
@@ -231,7 +275,7 @@ mod tests {
         let app = workloads::profile("lu").unwrap();
         // 1 ms period: several removal timescales per period, but cheap
         // enough for a unit test (the bench binaries run the paper's 5 ms).
-        let sim = run_migrating(app, FilterPolicy::Counter, 1.0, cfg, tiny());
+        let sim = run_migrating(app, &[FilterPolicy::Counter], 1.0, cfg, tiny());
         let s = sim.stats();
         let norm = s.snoops as f64 / (s.l2_misses.max(1) * 16) as f64;
         assert!(
@@ -246,7 +290,7 @@ mod tests {
         let samples = {
             let cfg = SystemConfig::paper_default();
             let app = workloads::profile("ocean").unwrap();
-            let sim = run_migrating(app, FilterPolicy::Counter, 0.5, cfg, tiny());
+            let sim = run_migrating(app, &[FilterPolicy::Counter], 0.5, cfg, tiny());
             sim.removal_log().to_vec()
         };
         assert!(!samples.is_empty(), "expected some removals");

@@ -36,11 +36,12 @@ pub use content::{fig10, table5, table6, Fig10Row, Table5Row, Table6Row};
 pub use fig1::{fig1, Fig1Row};
 pub use fig2_validation::{fig2_validation, Fig2Validation};
 pub use migration::{
-    cdf, migration_policies, migration_sweep, removal_periods, MigrationPoint, RemovalSample,
+    cdf, migration_policies, migration_sweep, migration_sweep_for, removal_periods,
+    removal_periods_for, MigrationPoint, RemovalSample,
 };
 pub use pinned::{table4_fig6, PinnedRow};
 pub use sched::{fig3_table1, SchedRow};
 pub use warm::{
-    clear_warm_pool, reset_warm_counters, set_warm_reuse, warm_counters, warm_pool_len,
-    warm_reuse_enabled, warm_tenant_counters, DEFAULT_WARM_CAP,
+    cell_simulations, clear_warm_pool, reset_warm_counters, set_warm_reuse, warm_counters,
+    warm_pool_len, warm_reuse_enabled, warm_tenant_counters, DEFAULT_WARM_CAP,
 };

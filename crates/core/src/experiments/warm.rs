@@ -22,7 +22,11 @@
 //!    ([`CellResult`]: stats, traffic, removal log) keyed by the full
 //!    cell parameters, so reports that re-run identical cells (Table IV
 //!    vs Fig. 6, Fig. 7's counter cells vs Fig. 9, Table V vs Table VI
-//!    vs Fig. 10's broadcast bars) simulate them once.
+//!    vs Fig. 10's broadcast bars) simulate them once. Migration cells
+//!    that differ only in policy are simulated together as filter lanes
+//!    of one run ([`lane_cells`]), which fills one memo entry per policy:
+//!    the Figs. 7-9 sweep runs one simulation per (app, period), not one
+//!    per (app, period, policy).
 //!
 //! Both caches serve *bit-identical* state — forked-vs-fresh identity
 //! is pinned per policy by `tests/fork_identity.rs`, and campaign
@@ -159,11 +163,12 @@ pub(crate) struct CellResult {
 }
 
 impl CellResult {
-    fn capture(sim: &Simulator) -> Self {
+    /// What filter lane `lane` of `sim` measured.
+    fn capture(sim: &Simulator, lane: usize) -> Self {
         CellResult {
-            stats: sim.stats().clone(),
-            traffic: *sim.traffic(),
-            removal_log: sim.removal_log().to_vec(),
+            stats: sim.lane_stats(lane),
+            traffic: *sim.lane_traffic(lane),
+            removal_log: sim.lane_removal_log(lane).to_vec(),
         }
     }
 }
@@ -180,6 +185,9 @@ static REUSE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 static WARM_HITS: AtomicU64 = AtomicU64::new(0);
 static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 static WARM_EVICTIONS: AtomicU64 = AtomicU64::new(0);
+/// Measured phases simulated for experiment cells: one per cell, or one
+/// per group of cells run as filter lanes of a single simulation.
+static CELL_SIMULATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Current warm-pool `(hits, misses, evictions)` counters. Surfaced in
 /// telemetry heartbeats and epoch snapshots so `VSNOOP_WARM_CAP`
@@ -192,12 +200,20 @@ pub fn warm_counters() -> (u64, u64, u64) {
     )
 }
 
-/// Zeroes the warm-pool counters (test hook).
+/// Measured phases simulated for experiment cells so far (process-wide,
+/// monotonic): a cell served from the memo adds nothing, and a group of
+/// cells run as filter lanes of one simulation adds one.
+pub fn cell_simulations() -> u64 {
+    CELL_SIMULATIONS.load(Ordering::Relaxed)
+}
+
+/// Zeroes the warm-pool and cell-simulation counters (test hook).
 #[doc(hidden)]
 pub fn reset_warm_counters() {
     WARM_HITS.store(0, Ordering::Relaxed);
     WARM_MISSES.store(0, Ordering::Relaxed);
     WARM_EVICTIONS.store(0, Ordering::Relaxed);
+    CELL_SIMULATIONS.store(0, Ordering::Relaxed);
     tenant_counters()
         .lock()
         .unwrap_or_else(|e| e.into_inner())
@@ -442,6 +458,10 @@ pub(crate) fn warmed_pair(
 /// warm, reset, measure, extract. The memo is what lets two reports
 /// built from identical cells simulate them once.
 pub(crate) fn cell(spec: &CellSpec) -> Arc<CellResult> {
+    debug_assert!(
+        spec.migration_period_ms.is_none(),
+        "migration cells run as filter lanes: use lane_cells"
+    );
     if !warm_reuse_enabled() {
         return Arc::new(run_cell(spec));
     }
@@ -453,7 +473,79 @@ pub(crate) fn cell(spec: &CellSpec) -> Arc<CellResult> {
     slot.get_or_init(|| Arc::new(run_cell(spec))).clone()
 }
 
+/// Executes migration cells that differ only in their filter policy —
+/// `spec` under each of `policies` — as one simulation with one filter
+/// lane per policy, `policies[0]` primary (or returns their memoized
+/// results). Each result lands in the memo under its own policy's key;
+/// callers pass one group in one policy order, so a later call for the
+/// group is a hit.
+pub(crate) fn lane_cells(spec: &CellSpec, policies: &[FilterPolicy]) -> Vec<Arc<CellResult>> {
+    let specs: Vec<CellSpec> = policies
+        .iter()
+        .map(|&policy| CellSpec {
+            policy,
+            ..spec.clone()
+        })
+        .collect();
+    if !warm_reuse_enabled() {
+        return run_lanes(&specs).into_iter().map(Arc::new).collect();
+    }
+    let slots: Vec<MemoSlot> = {
+        let mut memo = memo().lock().expect("cell memo poisoned");
+        specs
+            .iter()
+            .map(|s| memo.entry(s.memo_key()).or_default().clone())
+            .collect()
+    };
+    // The first slot's initializer simulates the whole group and fills
+    // the other slots, so concurrent callers of one group block on it
+    // instead of simulating twice. Migration cells are only ever run as
+    // a group, in one policy order, so the other slots are still empty.
+    let first = slots[0]
+        .get_or_init(|| {
+            let mut results = run_lanes(&specs).into_iter().map(Arc::new);
+            let first = results.next().expect("at least one policy");
+            for (slot, r) in slots[1..].iter().zip(results) {
+                assert!(
+                    slot.set(r).is_ok(),
+                    "a migration cell was memoized outside its lane group"
+                );
+            }
+            first
+        })
+        .clone();
+    std::iter::once(first)
+        .chain(
+            slots[1..]
+                .iter()
+                .map(|slot| slot.get().expect("filled with the group").clone()),
+        )
+        .collect()
+}
+
+/// One migrating simulation with a filter lane per spec. The frozen
+/// reference engine takes no extra lanes, so under it each spec runs on
+/// its own.
+fn run_lanes(specs: &[CellSpec]) -> Vec<CellResult> {
+    if crate::testing::reference_engine() {
+        return specs.iter().map(run_cell).collect();
+    }
+    let spec = &specs[0];
+    let period_ms = spec
+        .migration_period_ms
+        .expect("filter lanes run the migration cells");
+    let policies: Vec<FilterPolicy> = specs.iter().map(|s| s.policy).collect();
+    CELL_SIMULATIONS.fetch_add(1, Ordering::Relaxed);
+    let sim = crate::experiments::migration::run_migrating(
+        spec.app, &policies, period_ms, spec.cfg, spec.scale,
+    );
+    (0..specs.len())
+        .map(|lane| CellResult::capture(&sim, lane))
+        .collect()
+}
+
 fn run_cell(spec: &CellSpec) -> CellResult {
+    CELL_SIMULATIONS.fetch_add(1, Ordering::Relaxed);
     let sim = match spec.migration_period_ms {
         None => crate::experiments::common::run_pinned(
             spec.app,
@@ -466,13 +558,13 @@ fn run_cell(spec: &CellSpec) -> CellResult {
         ),
         Some(period_ms) => crate::experiments::migration::run_migrating(
             spec.app,
-            spec.policy,
+            &[spec.policy],
             period_ms,
             spec.cfg,
             spec.scale,
         ),
     };
-    CellResult::capture(&sim)
+    CellResult::capture(&sim, 0)
 }
 
 #[cfg(test)]

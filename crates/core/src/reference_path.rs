@@ -46,18 +46,18 @@ pub(super) fn transaction(
             destinations(sim, c, access.agent, sharing, filtered, block)
         };
         if attempt > 0 {
-            sim.stats.retries += 1;
+            sim.lane.stats.retries += 1;
             if attempt == 2 {
-                sim.stats.broadcast_fallbacks += 1;
+                sim.lane.stats.broadcast_fallbacks += 1;
             }
         }
         if persistent {
-            sim.stats.persistent_requests += 1;
+            sim.lane.stats.persistent_requests += 1;
         }
         if degraded && attempt == 0 {
             // The requester's map register failed validation; this
             // transaction runs as a full broadcast (degraded mode).
-            sim.stats.degraded_broadcasts += 1;
+            sim.lane.stats.degraded_broadcasts += 1;
         }
 
         // Request traffic: one control message per snooped cache, plus
@@ -77,7 +77,7 @@ pub(super) fn transaction(
         let mut delivered: Vec<usize> = Vec::with_capacity(dests.len());
         let mut worst_req_lat = 0u64;
         for &d in &dests {
-            let out = sim.net.send(src, NodeId::new(d as u16), req_kind);
+            let out = sim.lane.net.send(src, NodeId::new(d as u16), req_kind);
             worst_req_lat = worst_req_lat.max(out.latency);
             if out.delivered {
                 delivered.push(d);
@@ -85,7 +85,7 @@ pub(super) fn transaction(
         }
         let mut memory_heard = include_memory;
         if include_memory {
-            let out = sim.net.send_to_memory(src, req_kind);
+            let out = sim.lane.net.send_to_memory(src, req_kind);
             worst_req_lat = worst_req_lat.max(out.latency);
             memory_heard = out.delivered;
         }
@@ -94,7 +94,7 @@ pub(super) fn transaction(
         // filtering on 16 cores -> 25% of baseline snoops). A dropped
         // request never reaches a tag array, so only delivered ones
         // count.
-        sim.stats.snoops += delivered.len() as u64 + 1;
+        sim.lane.stats.snoops += delivered.len() as u64 + 1;
 
         let outcome = if access.write {
             let w = sim.protocol.reference_mut().write_miss(
@@ -107,7 +107,8 @@ pub(super) fn transaction(
             );
             // Token-only replies.
             for &r in &w.token_repliers {
-                sim.net
+                sim.lane
+                    .net
                     .unicast(NodeId::new(r as u16), src, MessageKind::TokenReply);
             }
             TxOutcome {
@@ -140,25 +141,33 @@ pub(super) fn transaction(
         // the round trip to the responder (the data holder answers as
         // soon as *it* receives the request, regardless of how far the
         // other snooped caches are).
-        let lm = *sim.net.latency_model();
+        let lm = *sim.lane.net.latency_model();
         let round_trip = match outcome.source {
             Some(DataSource::Cache(h)) => {
                 let resp = sim
+                    .lane
                     .net
                     .unicast(NodeId::new(h as u16), src, MessageKind::Data);
-                sim.count_data_source(h, access.agent.guest_vm());
+                sim.lane.count_data_source(h, access.agent.guest_vm());
                 let req_leg = lm.base_latency(
-                    sim.net.mesh().hops(src, NodeId::new(h as u16)),
+                    sim.lane.net.mesh().hops(src, NodeId::new(h as u16)),
                     MessageKind::Request.bytes(),
                 );
                 req_leg + resp
             }
             Some(DataSource::Memory) => {
-                let resp = sim.net.from_memory(src, MessageKind::Data) + sim.cfg.memory_latency;
-                sim.stats.data_memory += 1;
-                let port = sim.net.mesh().nearest_port(src, sim.net.memory_ports());
-                let req_leg =
-                    lm.base_latency(sim.net.mesh().hops(src, port), MessageKind::Request.bytes());
+                let resp =
+                    sim.lane.net.from_memory(src, MessageKind::Data) + sim.cfg.memory_latency;
+                sim.lane.stats.data_memory += 1;
+                let port = sim
+                    .lane
+                    .net
+                    .mesh()
+                    .nearest_port(src, sim.lane.net.memory_ports());
+                let req_leg = lm.base_latency(
+                    sim.lane.net.mesh().hops(src, port),
+                    MessageKind::Request.bytes(),
+                );
                 req_leg + resp
             }
             // Failed attempt (or a dataless upgrade): the requester
@@ -170,8 +179,12 @@ pub(super) fn transaction(
         // Charge the stall (contention-scaled) whether or not the
         // attempt succeeded: failed attempts cost real time.
         let base = sim.cfg.l2_latency + round_trip;
-        let stall = sim.cfg.network.contended_latency(base, sim.utilization());
-        sim.stats.stall_cycles[c] += stall;
+        let (ctx, lane, _) = sim.lanes_mut();
+        let stall = ctx
+            .cfg
+            .network
+            .contended_latency(base, lane.utilization(&ctx));
+        sim.lane.stats.stall_cycles[c] += stall;
 
         // Region tracking (RegionScout baseline): lines that left
         // remote caches or were displaced locally.
@@ -231,7 +244,7 @@ pub(super) fn transaction(
         // link faults — fault-free, the first broadcast succeeds).
         if attempt >= 2 {
             let backoff = worst_req_lat.saturating_mul(1u64 << (attempt - 2).min(8));
-            sim.stats.stall_cycles[c] += backoff;
+            sim.lane.stats.stall_cycles[c] += backoff;
         }
     }
     unreachable!("the persistent attempt either succeeds or asserts");
@@ -248,7 +261,7 @@ fn destinations(
 ) -> (Vec<usize>, bool, bool) {
     let n = sim.cfg.n_cores();
     let broadcast = || (0..n).filter(|&d| d != requester).collect::<Vec<_>>();
-    if !filtered || !sim.policy.filters() {
+    if !filtered || !sim.lane.policy.filters() {
         return (broadcast(), true, false);
     }
     if let Some(rf) = &sim.region_filter {
@@ -280,20 +293,20 @@ fn destinations(
     match sharing {
         SharingType::RwShared => (broadcast(), true, false),
         SharingType::VmPrivate => usable(
-            sim.map_usable(vm, None, requester),
+            sim.lane.map_usable(&sim.cfg, vm, None, requester),
             map_dests(sim, vm, None, requester),
         ),
         SharingType::RoShared => match sim.content_policy {
             ContentPolicy::Broadcast => (broadcast(), true, false),
             ContentPolicy::MemoryDirect => (Vec::new(), true, false),
             ContentPolicy::IntraVm => usable(
-                sim.map_usable(vm, None, requester),
+                sim.lane.map_usable(&sim.cfg, vm, None, requester),
                 map_dests(sim, vm, None, requester),
             ),
             ContentPolicy::FriendVm => {
                 let friend = sim.friends[vm.index()];
                 usable(
-                    sim.map_usable(vm, friend, requester),
+                    sim.lane.map_usable(&sim.cfg, vm, friend, requester),
                     map_dests(sim, vm, friend, requester),
                 )
             }
@@ -303,9 +316,9 @@ fn destinations(
 
 /// Verbatim pre-optimization `Simulator::map_dests`.
 fn map_dests(sim: &Simulator, vm: VmId, friend: Option<VmId>, requester: usize) -> Vec<usize> {
-    let mut map = sim.maps.map(vm.index());
+    let mut map = sim.lane.maps.map(vm.index());
     if let Some(f) = friend {
-        map = map.union(sim.maps.map(f.index()));
+        map = map.union(sim.lane.maps.map(f.index()));
     }
     map.cores()
         .map(|c| c.index())
@@ -313,13 +326,18 @@ fn map_dests(sim: &Simulator, vm: VmId, friend: Option<VmId>, requester: usize) 
         .collect()
 }
 
-/// Verbatim pre-optimization `Simulator::account_map_sync`.
-pub(super) fn account_map_sync(sim: &mut Simulator, vm: VmId) {
+/// Verbatim pre-optimization `Simulator::account_map_sync`, over the
+/// lane's traffic and vCPU maps.
+pub(super) fn account_map_sync(
+    net: &mut Network,
+    maps: &VcpuMapFile,
+    cfg: &SystemConfig,
+    vm: VmId,
+) {
     // Mask to physical cores: a corrupted register can hold bits
     // beyond the mesh, but the hypervisor's update broadcast only ever
     // targets real cores.
-    let map =
-        VcpuMap::from_mask(sim.maps.map(vm.index()).mask() & valid_core_mask(sim.cfg.n_cores()));
+    let map = VcpuMap::from_mask(maps.map(vm.index()).mask() & valid_core_mask(cfg.n_cores()));
     let Some(first) = map.cores().next() else {
         return;
     };
@@ -329,7 +347,7 @@ pub(super) fn account_map_sync(sim: &mut Simulator, vm: VmId) {
         .skip(1)
         .map(|c| NodeId::new(c.index() as u16))
         .collect();
-    sim.net.multicast(src, dests, MessageKind::MapUpdate);
+    net.multicast(src, dests, MessageKind::MapUpdate);
 }
 
 /// Verbatim pre-optimization `Simulator::classify_holders`.
@@ -338,18 +356,18 @@ pub(super) fn classify_holders(sim: &mut Simulator, block: BlockAddr, vm: Option
         .filter(|&j| sim.l2[j].probe(block).is_some())
         .collect();
     if holders.is_empty() {
-        sim.stats.holders_memory += 1;
+        sim.lane.stats.holders_memory += 1;
         return;
     }
-    sim.stats.holders_any_cache += 1;
+    sim.lane.stats.holders_any_cache += 1;
     let Some(vm) = vm else { return };
-    let own = sim.maps.map(vm.index());
+    let own = sim.lane.maps.map(vm.index());
     if holders.iter().any(|&j| own.contains(CoreId::new(j as u16))) {
-        sim.stats.holders_intra_vm += 1;
+        sim.lane.stats.holders_intra_vm += 1;
     } else if let Some(f) = sim.friends[vm.index()] {
-        let fm = sim.maps.map(f.index());
+        let fm = sim.lane.maps.map(f.index());
         if holders.iter().any(|&j| fm.contains(CoreId::new(j as u16))) {
-            sim.stats.holders_friend_vm += 1;
+            sim.lane.stats.holders_friend_vm += 1;
         }
     }
 }

@@ -18,6 +18,11 @@
 //!    counter-threshold fallback);
 //! 4. residence-counter events may shrink vCPU maps (counter /
 //!    counter-threshold policies), logged for Fig. 9.
+//!
+//! Steps 2 and 4 and all snoop, traffic and stall accounting belong to a
+//! filter lane (`lane.rs`), which reads the machine but cannot write it;
+//! one simulation can carry several lanes, each measuring its own policy
+//! over the same architectural run ([`Simulator::add_filter_lanes`]).
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,6 +57,14 @@ mod reference_path;
 /// transcription twins can reach the `Simulator` internals directly.
 #[path = "engine.rs"]
 mod engine;
+
+/// The per-policy half of the simulator (see its module docs). A child
+/// module of `simulator` so lanes can take `TxOutcome` and the shared
+/// imports directly.
+#[path = "lane.rs"]
+mod lane;
+
+use lane::{BlockView, FilterLane, LaneCtx};
 
 /// The coherence engine behind a [`Simulator`]: the optimized
 /// allocation-free [`TokenProtocol`], or the frozen pre-optimization
@@ -204,24 +217,25 @@ impl SystemWorkload for ReplayWorkload<'_> {
 #[derive(Clone)]
 pub struct Simulator {
     cfg: SystemConfig,
-    policy: FilterPolicy,
     content_policy: ContentPolicy,
     l1: Vec<Cache>,
     l2: Vec<Cache>,
     protocol: Engine,
-    net: Network,
     hv: Hypervisor,
-    maps: VcpuMapFile,
     tlbs: Vec<TypeTlb>,
     friends: Vec<Option<VmId>>,
     /// RegionScout baseline state (present only under that policy).
     region_filter: Option<RegionFilter>,
-    /// `[core][vm]` — cycle at which the VM's last vCPU left the core,
-    /// pending a counter-driven removal (Fig. 9's measurement start).
-    removal_pending: Vec<Vec<Option<u64>>>,
-    removal_log: Vec<RemovalEvent>,
+    /// The primary filter lane: its policy drives the token transactions,
+    /// and it owns the network the fault plan is installed on.
+    lane: FilterLane,
+    /// Lanes added with [`Simulator::add_filter_lanes`], accounted in
+    /// lock-step with the primary lane's transactions.
+    extra_lanes: Vec<FilterLane>,
+    /// The block in flight as the extra lanes replay it: probed before
+    /// the token operation, consumed once the transaction completes.
+    lane_view: Option<BlockView>,
     cycle: u64,
-    stats: SimStats,
     /// Fault-injection state; `None` means the fault-free fast path (the
     /// behaviour is then bit-identical to a build without this feature).
     faults: Option<FaultState>,
@@ -265,7 +279,7 @@ impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("cores", &self.cfg.n_cores())
-            .field("policy", &self.policy)
+            .field("policy", &self.lane.policy)
             .field("content_policy", &self.content_policy)
             .field("cycle", &self.cycle)
             .finish_non_exhaustive()
@@ -323,6 +337,10 @@ impl Simulator {
             _ => None,
         };
 
+        let net = {
+            let mesh = Mesh::try_new(cfg.mesh_width, cfg.mesh_height)?;
+            Network::try_with_config(mesh, cfg.network, mesh.corner_ports())?
+        };
         Ok(Simulator {
             region_filter,
             l1: vec![Cache::new(CacheGeometry::new(cfg.l1_bytes, cfg.l1_ways), cfg.n_vms); n],
@@ -332,18 +350,13 @@ impl Simulator {
             } else {
                 Engine::Fast(TokenProtocol::new(n as u32))
             },
-            net: {
-                let mesh = Mesh::try_new(cfg.mesh_width, cfg.mesh_height)?;
-                Network::try_with_config(mesh, cfg.network, mesh.corner_ports())?
-            },
             hv,
-            maps,
             tlbs: vec![TypeTlb::new(cfg.tlb_slots); n],
             friends: vec![None; cfg.n_vms],
-            removal_pending: vec![vec![None; cfg.n_vms]; n],
-            removal_log: Vec::new(),
+            lane: FilterLane::new(policy, maps, &cfg, net),
+            extra_lanes: Vec::new(),
+            lane_view: None,
             cycle: 0,
-            stats: SimStats::new(n),
             faults: None,
             checker: None,
             diagnostics: Vec::new(),
@@ -353,7 +366,6 @@ impl Simulator {
             engine_workers: None,
             traffic_overflow_reported: false,
             cfg,
-            policy,
             content_policy,
         })
     }
@@ -365,16 +377,25 @@ impl Simulator {
     ///
     /// Installing [`FaultPlan::none`] (or never calling this) keeps the
     /// simulator on the fault-free fast path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator carries extra filter lanes: their replay
+    /// assumes the fault-free transaction ladder.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        assert!(
+            self.extra_lanes.is_empty(),
+            "fault injection cannot run with extra filter lanes"
+        );
         if plan.any_link() {
             // Derive the link seed from the plan seed so one seed
             // reproduces the whole campaign.
-            self.net.install_faults(Some(LinkFaults::new(
+            self.lane.net.install_faults(Some(LinkFaults::new(
                 plan.link_config(),
                 plan.seed ^ 0x9E37_79B9_7F4A_7C15,
             )));
         } else {
-            self.net.install_faults(None);
+            self.lane.net.install_faults(None);
         }
         self.faults = Some(FaultState {
             rng: SmallRng::seed_from_u64(plan.seed),
@@ -401,7 +422,7 @@ impl Simulator {
 
     /// Link-level fault counters (drops/delays), when link faults are on.
     pub fn link_faults(&self) -> Option<&LinkFaults> {
-        self.net.link_faults()
+        self.lane.net.link_faults()
     }
 
     /// Enables the runtime invariant checker: hard invariants on every
@@ -431,7 +452,7 @@ impl Simulator {
                 l1: &self.l1,
                 l2: &self.l2,
                 protocol: self.protocol.ledger(),
-                maps: &self.maps,
+                maps: &self.lane.maps,
                 hv: &self.hv,
                 maps_trusted: trusted,
             },
@@ -473,17 +494,17 @@ impl Simulator {
 
     /// The filter policy in force.
     pub fn policy(&self) -> FilterPolicy {
-        self.policy
+        self.lane.policy
     }
 
     /// Collected statistics.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.lane.stats
     }
 
     /// Network traffic statistics.
     pub fn traffic(&self) -> &sim_net::TrafficStats {
-        self.net.traffic()
+        self.lane.net.traffic()
     }
 
     /// A canonical digest of the architectural state: every valid cache
@@ -525,7 +546,7 @@ impl Simulator {
 
     /// Core-removal events (Fig. 9).
     pub fn removal_log(&self) -> &[RemovalEvent] {
-        &self.removal_log
+        &self.lane.removal_log
     }
 
     /// Current global cycle.
@@ -535,7 +556,7 @@ impl Simulator {
 
     /// Current vCPU map of `vm`.
     pub fn vcpu_map(&self, vm: VmId) -> VcpuMap {
-        self.maps.map(vm.index())
+        self.lane.maps.map(vm.index())
     }
 
     /// The hypervisor state (vCPU placement).
@@ -548,20 +569,114 @@ impl Simulator {
         self.region_filter.as_ref()
     }
 
+    /// Adds one filter lane per policy, each starting from the primary
+    /// lane's current maps and removal timers — as if the simulator had
+    /// been forked under that policy now. From here on every run drives
+    /// all lanes in lock-step over one architectural simulation: the
+    /// primary lane's policy executes the token transactions, and each
+    /// extra lane counts the snoops, retries, traffic, stalls and map
+    /// updates its own policy would have produced. Lane `i` (0 is the
+    /// primary) is read back with [`Simulator::lane_stats`],
+    /// [`Simulator::lane_traffic`] and [`Simulator::lane_removal_log`].
+    ///
+    /// Sound because filtering never changes architectural state
+    /// (`tests/differential_oracle.rs`); pinned per policy against
+    /// standalone runs by `tests/filter_lanes.rs`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] when the simulator or a
+    /// requested policy leaves that oracle's ground: a fault plan is
+    /// installed, RegionScout is involved (its region tables are
+    /// per-policy state the transactions update), content pages are not
+    /// routed by broadcast (the clean-shared provider rule changes where
+    /// tokens go), or the frozen reference engine is selected.
+    pub fn add_filter_lanes(&mut self, policies: &[FilterPolicy]) -> Result<(), SimError> {
+        let scout = |p: &FilterPolicy| matches!(p, FilterPolicy::RegionScout { .. });
+        let why = if policies.is_empty() {
+            None
+        } else if self.faults.is_some() {
+            Some("a fault plan is installed")
+        } else if scout(&self.lane.policy) || policies.iter().any(scout) {
+            Some("RegionScout keeps per-policy region tables")
+        } else if self.content_policy != ContentPolicy::Broadcast {
+            Some("content pages are not routed by broadcast")
+        } else if self.protocol.is_reference() {
+            Some("the reference engine is selected")
+        } else {
+            None
+        };
+        if let Some(why) = why {
+            return Err(SimError::InvalidConfig(crate::config::ConfigError::new(
+                format!("cannot add filter lanes: {why}"),
+            )));
+        }
+        for &policy in policies {
+            let mut lane = self.lane.clone();
+            lane.policy = policy;
+            self.extra_lanes.push(lane);
+        }
+        Ok(())
+    }
+
+    /// Number of filter lanes: the primary plus any added with
+    /// [`Simulator::add_filter_lanes`].
+    pub fn lane_count(&self) -> usize {
+        1 + self.extra_lanes.len()
+    }
+
+    fn lane_at(&self, lane: usize) -> &FilterLane {
+        match lane {
+            0 => &self.lane,
+            i => &self.extra_lanes[i - 1],
+        }
+    }
+
+    /// What lane `lane` measured: exactly the statistics a standalone run
+    /// under its policy would report. Lane 0 is [`Simulator::stats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.lane_count()`.
+    pub fn lane_stats(&self, lane: usize) -> SimStats {
+        self.lane_at(lane).standalone_stats(&self.lane.stats)
+    }
+
+    /// Network traffic of lane `lane` (lane 0 is
+    /// [`Simulator::traffic`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.lane_count()`.
+    pub fn lane_traffic(&self, lane: usize) -> &sim_net::TrafficStats {
+        self.lane_at(lane).net.traffic()
+    }
+
+    /// Core-removal events of lane `lane` (lane 0 is
+    /// [`Simulator::removal_log`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= self.lane_count()`.
+    pub fn lane_removal_log(&self, lane: usize) -> &[RemovalEvent] {
+        &self.lane_at(lane).removal_log
+    }
+
     /// Clears statistics, traffic, and logs while *keeping caches, maps
     /// and placement warm* — call after a warm-up phase. An enabled
     /// epoch recorder is rebaselined at the cleared state, so epochs
     /// cover only the measured phase.
     pub fn reset_measurement(&mut self) {
-        self.stats = SimStats::new(self.cfg.n_cores());
-        self.net.reset_traffic();
-        self.removal_log.clear();
+        self.lane.reset_measurement();
+        for lane in &mut self.extra_lanes {
+            lane.reset_measurement();
+        }
         if let Some(ep) = self.epochs.as_deref_mut() {
             ep.rebaseline(
                 self.cycle,
-                &self.stats,
-                self.net.traffic(),
-                self.net.node_bytes(),
+                &self.lane.stats,
+                self.lane.net.traffic(),
+                self.lane.net.node_bytes(),
                 self.hv.swaps(),
             );
         }
@@ -575,13 +690,13 @@ impl Simulator {
     /// warm-up phase records only what follows. See
     /// [`EpochRecorder`](crate::obs::EpochRecorder) for export formats.
     pub fn enable_epochs(&mut self, every: u64) {
-        self.net.enable_node_tally();
+        self.lane.net.enable_node_tally();
         let mut rec = Box::new(crate::obs::EpochRecorder::new(every));
         rec.rebaseline(
             self.cycle,
-            &self.stats,
-            self.net.traffic(),
-            self.net.node_bytes(),
+            &self.lane.stats,
+            self.lane.net.traffic(),
+            self.lane.net.node_bytes(),
             self.hv.swaps(),
         );
         self.epochs = Some(rec);
@@ -600,9 +715,9 @@ impl Simulator {
         if let Some(ep) = self.epochs.as_deref_mut() {
             ep.flush(
                 self.cycle,
-                &self.stats,
-                self.net.traffic(),
-                self.net.node_bytes(),
+                &self.lane.stats,
+                self.lane.net.traffic(),
+                self.lane.net.node_bytes(),
                 self.hv.swaps(),
             );
         }
@@ -619,9 +734,9 @@ impl Simulator {
         if let Some(ep) = self.epochs.as_deref_mut() {
             ep.tick_round(
                 self.cycle,
-                &self.stats,
-                self.net.traffic(),
-                self.net.node_bytes(),
+                &self.lane.stats,
+                self.lane.net.traffic(),
+                self.lane.net.node_bytes(),
                 self.hv.swaps(),
             );
         }
@@ -739,7 +854,7 @@ impl Simulator {
     /// from the saturation point on, silently-correct-looking output
     /// would hide that.
     fn surface_traffic_overflow(&mut self) {
-        if self.traffic_overflow_reported || !self.net.traffic().overflowed() {
+        if self.traffic_overflow_reported || !self.lane.net.traffic().overflowed() {
             return;
         }
         self.traffic_overflow_reported = true;
@@ -765,7 +880,7 @@ impl Simulator {
             // thread-local read outside of them.
             crate::runner::poll_current();
             self.cycle += self.cfg.cycles_per_access;
-            self.stats.rounds += 1;
+            self.lane.stats.rounds += 1;
             self.on_round_start();
             for core in CoreId::all(self.cfg.n_cores()) {
                 let Some(vcpu) = self.hv.vcpu_on(core) else {
@@ -809,7 +924,7 @@ impl Simulator {
         for _ in 0..rounds {
             crate::runner::poll_current();
             self.cycle += self.cfg.cycles_per_access;
-            self.stats.rounds += 1;
+            self.lane.stats.rounds += 1;
             self.on_round_start();
             if self.cycle >= next_migration {
                 next_migration += period_cycles;
@@ -865,24 +980,18 @@ impl Simulator {
                 .faults
                 .as_ref()
                 .map_or(0, |f| f.plan.map_sync_delay_cycles);
-            if sync_delay > 0 && !self.maps.map(vm.index()).contains(new) {
+            let deferred = sync_delay > 0 && !self.lane.maps.map(vm.index()).contains(new);
+            if deferred {
                 let due = self.cycle + sync_delay;
                 if let Some(f) = &mut self.faults {
                     f.pending_syncs.push(PendingSync { due, vm, core: new });
                     f.injected.delayed_syncs += 1;
                 }
-            } else if self.maps.add_core(vm.index(), new) {
-                self.stats.map_adds += 1;
-                self.account_map_sync(vm);
             }
-            // The VM reappeared on `new`: cancel any pending removal timer.
-            self.removal_pending[new.index()][vm.index()] = None;
-            // If the VM no longer runs on `old`, start the removal timer.
-            if self.hv.cores_of_vm(vm) & (1 << old.index()) == 0 {
-                self.removal_pending[old.index()][vm.index()] = Some(self.cycle);
-                // The counter may already be below the removal threshold
-                // (even zero) at departure time; check immediately.
-                self.maybe_remove_core(old.index(), vm);
+            let (ctx, lane, extra) = self.lanes_mut();
+            lane.relocate(&ctx, vm, old, new, !deferred);
+            for lane in extra {
+                lane.relocate(&ctx, vm, old, new, true);
             }
         }
         Ok(())
@@ -902,9 +1011,10 @@ impl Simulator {
         while i < f.pending_syncs.len() {
             if f.pending_syncs[i].due <= cycle {
                 let p = f.pending_syncs.swap_remove(i);
-                if self.maps.add_core(p.vm.index(), p.core) {
-                    self.stats.map_adds += 1;
-                    self.account_map_sync(p.vm);
+                let (ctx, lane, _) = self.lanes_mut();
+                if lane.maps.add_core(p.vm.index(), p.core) {
+                    lane.stats.map_adds += 1;
+                    lane.account_map_sync(&ctx, p.vm);
                 }
             } else {
                 i += 1;
@@ -914,7 +1024,7 @@ impl Simulator {
         // 2. vCPU-map register corruption.
         if f.plan.corrupt_map_p > 0.0 && f.rng.gen_bool(f.plan.corrupt_map_p) {
             let vm = f.rng.gen_range(0..self.cfg.n_vms);
-            let cur = self.maps.map(vm);
+            let cur = self.lane.maps.map(vm);
             let mode = MapCorruption::ALL[f.rng.gen_range(0..MapCorruption::ALL.len())];
             match mode {
                 MapCorruption::ClearBit => {
@@ -923,7 +1033,7 @@ impl Simulator {
                         let victim = bits[f.rng.gen_range(0..bits.len())];
                         let mut m = cur;
                         m.remove(victim);
-                        self.maps.corrupt(vm, m);
+                        self.lane.maps.corrupt(vm, m);
                         f.injected.maps_bit_cleared += 1;
                     }
                 }
@@ -931,13 +1041,14 @@ impl Simulator {
                     // Any of the 64 register bits, including ones beyond
                     // the physical core count (an *invalid* register).
                     let bit = f.rng.gen_range(0..64u32);
-                    self.maps
+                    self.lane
+                        .maps
                         .corrupt(vm, VcpuMap::from_mask(cur.mask() | (1u64 << bit)));
                     f.injected.maps_bit_set += 1;
                 }
                 MapCorruption::Garbage => {
                     let garbage = f.rng.gen::<u64>();
-                    self.maps.corrupt(vm, VcpuMap::from_mask(garbage));
+                    self.lane.maps.corrupt(vm, VcpuMap::from_mask(garbage));
                     f.injected.maps_garbaged += 1;
                 }
             }
@@ -982,12 +1093,13 @@ impl Simulator {
         let valid = valid_core_mask(self.cfg.n_cores());
         for vm_idx in 0..self.cfg.n_vms {
             let vm = VmId::new(vm_idx as u16);
-            let cur = self.maps.map(vm_idx).mask();
+            let cur = self.lane.maps.map(vm_idx).mask();
             let repaired = (cur & valid) | self.hv.cores_of_vm(vm);
             if repaired != cur {
-                self.maps.set(vm_idx, VcpuMap::from_mask(repaired));
-                self.stats.map_repairs += 1;
-                self.account_map_sync(vm);
+                self.lane.maps.set(vm_idx, VcpuMap::from_mask(repaired));
+                self.lane.stats.map_repairs += 1;
+                let (ctx, lane, _) = self.lanes_mut();
+                lane.account_map_sync(&ctx, vm);
             }
         }
     }
@@ -1005,7 +1117,7 @@ impl Simulator {
                 l1: &self.l1,
                 l2: &self.l2,
                 protocol: self.protocol.ledger(),
-                maps: &self.maps,
+                maps: &self.lane.maps,
                 hv: &self.hv,
                 maps_trusted: true,
             },
@@ -1017,12 +1129,12 @@ impl Simulator {
     /// One access slot on `core`.
     fn step(&mut self, core: CoreId, access: TraceAccess, dir: &SharingDirectory) {
         let c = core.index();
-        self.stats.accesses += 1;
+        self.lane.stats.accesses += 1;
         let block = BlockAddr::new(access.addr / sim_mem::BLOCK_BYTES);
         let page = access.addr / PAGE_BYTES;
         let sharing = self.tlbs[c].lookup(page, dir);
         if sharing == SharingType::RoShared {
-            self.stats.content_accesses += 1;
+            self.lane.stats.content_accesses += 1;
         }
 
         // L1.
@@ -1033,7 +1145,7 @@ impl Simulator {
                 if let Some(line) = self.l2[c].probe_mut(block) {
                     if line.state.can_write(self.cfg.n_cores() as u32) {
                         line.state.dirty = true;
-                        self.stats.l1_hits += 1;
+                        self.lane.stats.l1_hits += 1;
                         return;
                     }
                 }
@@ -1041,7 +1153,7 @@ impl Simulator {
                 // transaction, not an L1 hit.
                 self.l1[c].remove(block);
             } else {
-                self.stats.l1_hits += 1;
+                self.lane.stats.l1_hits += 1;
                 return;
             }
         }
@@ -1077,13 +1189,13 @@ impl Simulator {
             }
         };
         if hit {
-            self.stats.l2_hits += 1;
+            self.lane.stats.l2_hits += 1;
             self.fill_l1(c, block, access.agent);
             return;
         }
 
         // Coherence transaction.
-        self.stats.count_miss(access.agent, sharing);
+        self.lane.stats.count_miss(access.agent, sharing);
         if sharing == SharingType::RoShared && !access.write {
             self.classify_holders(block, access.agent.guest_vm());
         }
@@ -1106,7 +1218,7 @@ impl Simulator {
                 l1: &self.l1,
                 l2: &self.l2,
                 protocol: self.protocol.ledger(),
-                maps: &self.maps,
+                maps: &self.lane.maps,
                 hv: &self.hv,
                 maps_trusted: trusted,
             },
@@ -1123,6 +1235,11 @@ impl Simulator {
     /// reliable virtual channel). Fault-free, the first broadcast attempt
     /// always succeeds, so the extra rungs are never exercised and the
     /// ladder is exactly the original three attempts.
+    ///
+    /// The token operation runs once, under the primary lane's
+    /// destinations; the lane does the filter's accounting. Extra lanes
+    /// replay the transaction against the block's pre-transaction
+    /// [`BlockView`] once it has completed.
     ///
     /// This is the allocation-free fast path: destination sets, delivered
     /// sets, and invalidation sets are `u64` core bitmasks end to end, and
@@ -1146,80 +1263,19 @@ impl Simulator {
         // For region tracking: whether the requester already held the
         // block (an upgrade does not change its region count).
         let requester_had = self.l2[c].probe(block).is_some();
+        // Extra lanes replay this transaction against the block as it is
+        // now, before the token operation changes it.
+        if !self.extra_lanes.is_empty() {
+            self.probe_for_lanes(c, block);
+        }
 
         let transient_attempts: u32 = if self.faults.is_some() { 5 } else { 3 };
         for attempt in 0..=transient_attempts {
             let persistent = attempt == transient_attempts;
-            let filtered = attempt < 2;
-            let (dest_mask, include_memory, degraded) = if persistent {
-                let all = valid_core_mask(self.cfg.n_cores()) & !(1u64 << c);
-                (all, true, false)
-            } else {
-                self.destinations(c, access.agent, sharing, filtered, block)
-            };
-            if attempt > 0 {
-                self.stats.retries += 1;
-                if attempt == 2 {
-                    self.stats.broadcast_fallbacks += 1;
-                }
-            }
-            if persistent {
-                self.stats.persistent_requests += 1;
-            }
-            if degraded && attempt == 0 {
-                // The requester's map register failed validation; this
-                // transaction runs as a full broadcast (degraded mode).
-                self.stats.degraded_broadcasts += 1;
-            }
-
-            // Request traffic: one control message per snooped cache, plus
-            // one to the memory controller when memory participates. The
-            // *worst* leg only matters for failed attempts (the requester
-            // must conclude nobody will answer); successful transactions
-            // are gated by the leg to the actual responder, computed below.
-            // Fault-free, every request is delivered at its base latency,
-            // so the whole fan-out is one batched multicast (same traffic,
-            // and the multicast's worst leg equals the per-send maximum
-            // because latency is monotone in hops). Under link faults each
-            // request must be judged individually — and in ascending
-            // destination order, to preserve the fault RNG stream.
-            let req_kind = if persistent {
-                MessageKind::Persistent
-            } else {
-                MessageKind::Request
-            };
-            let src = NodeId::new(c as u16);
-            let mut delivered: u64 = dest_mask;
-            let mut worst_req_lat;
-            if self.net.link_faults().is_some() {
-                delivered = 0;
-                worst_req_lat = 0;
-                for d in mask_cores(dest_mask) {
-                    let out = self.net.send(src, NodeId::new(d as u16), req_kind);
-                    worst_req_lat = worst_req_lat.max(out.latency);
-                    if out.delivered {
-                        delivered |= 1u64 << d;
-                    }
-                }
-            } else {
-                worst_req_lat = self.net.multicast(
-                    src,
-                    mask_cores(dest_mask).map(|d| NodeId::new(d as u16)),
-                    req_kind,
-                );
-            }
-            let mut memory_heard = include_memory;
-            if include_memory {
-                let out = self.net.send_to_memory(src, req_kind);
-                worst_req_lat = worst_req_lat.max(out.latency);
-                memory_heard = out.delivered;
-            }
-
-            // The paper counts the requester's own tag lookup too (ideal
-            // filtering on 16 cores -> 25% of baseline snoops). A dropped
-            // request never reaches a tag array, so only delivered ones
-            // count.
-            self.stats.snoops += u64::from(delivered.count_ones()) + 1;
+            let (ctx, lane, _) = self.lanes_mut();
+            let a = lane.begin_attempt(&ctx, c, access.agent, sharing, block, attempt, persistent);
+            let sent = lane.send_requests(c, &a);
+            let (delivered, memory_heard) = (sent.delivered, sent.memory_heard);
 
             let tokens_moved: u32;
             let outcome = if access.write {
@@ -1231,21 +1287,11 @@ impl Simulator {
                     memory_heard,
                     tag,
                 );
-                // Token-only replies, all converging on the requester.
-                // Mesh hops are symmetric, so accounting them as one
-                // multicast *from* the requester moves exactly the same
-                // byte-links (the per-reply latency was never used).
-                if w.token_repliers != 0 {
-                    self.net.multicast(
-                        src,
-                        mask_cores(w.token_repliers).map(|r| NodeId::new(r as u16)),
-                        MessageKind::TokenReply,
-                    );
-                }
                 tokens_moved = w.tokens_moved();
                 TxOutcome {
                     success: w.success,
                     source: w.source,
+                    token_repliers: w.token_repliers,
                     invalidated: w.invalidated,
                     evicted: w.evicted,
                     evicted_dirty: w.evicted_dirty,
@@ -1264,6 +1310,7 @@ impl Simulator {
                 TxOutcome {
                     success: r.success,
                     source: r.source,
+                    token_repliers: 0,
                     invalidated: r.invalidated,
                     evicted: r.evicted,
                     evicted_dirty: r.evicted_dirty,
@@ -1279,10 +1326,10 @@ impl Simulator {
                 if access.write {
                     flags |= FlightEvent::FLAG_WRITE;
                 }
-                if filtered && dest_mask != valid_core_mask(self.cfg.n_cores()) & !(1u64 << c) {
+                if a.filtered && a.dests != valid_core_mask(self.cfg.n_cores()) & !(1u64 << c) {
                     flags |= FlightEvent::FLAG_FILTERED;
                 }
-                if degraded {
+                if a.degraded {
                     flags |= FlightEvent::FLAG_DEGRADED;
                 }
                 if persistent {
@@ -1297,7 +1344,7 @@ impl Simulator {
                 crate::obs::record_tx(FlightEvent {
                     cycle: self.cycle,
                     block: block.index(),
-                    dest_mask,
+                    dest_mask: a.dests,
                     delivered,
                     core: c as u16,
                     tokens_moved: tokens_moved.min(u32::from(u16::MAX)) as u16,
@@ -1310,51 +1357,14 @@ impl Simulator {
                 ep.record_fanout(delivered.count_ones() as usize + 1);
             }
 
-            // Response traffic and latency. The transaction is gated by
-            // the round trip to the responder (the data holder answers as
-            // soon as *it* receives the request, regardless of how far the
-            // other snooped caches are).
-            let lm = *self.net.latency_model();
-            let round_trip = match outcome.source {
-                Some(DataSource::Cache(h)) => {
-                    let resp = self
-                        .net
-                        .unicast(NodeId::new(h as u16), src, MessageKind::Data);
-                    self.count_data_source(h, access.agent.guest_vm());
-                    let req_leg = lm.base_latency(
-                        self.net.mesh().hops(src, NodeId::new(h as u16)),
-                        MessageKind::Request.bytes(),
-                    );
-                    req_leg + resp
-                }
-                Some(DataSource::Memory) => {
-                    let resp =
-                        self.net.from_memory(src, MessageKind::Data) + self.cfg.memory_latency;
-                    self.stats.data_memory += 1;
-                    let port = self.net.mesh().nearest_port(src, self.net.memory_ports());
-                    let req_leg = lm.base_latency(
-                        self.net.mesh().hops(src, port),
-                        MessageKind::Request.bytes(),
-                    );
-                    req_leg + resp
-                }
-                // Failed attempt (or a dataless upgrade): the requester
-                // waits out the worst request leg plus a reply leg before
-                // concluding/collecting.
-                None => 2 * worst_req_lat,
-            };
-
-            // Charge the stall (contention-scaled) whether or not the
-            // attempt succeeded: failed attempts cost real time.
-            let base = self.cfg.l2_latency + round_trip;
-            let stall = self.cfg.network.contended_latency(base, self.utilization());
-            self.stats.stall_cycles[c] += stall;
+            let (ctx, lane, _) = self.lanes_mut();
+            lane.finish_attempt(&ctx, c, access.agent, &outcome, sent.worst_req_lat);
 
             // Region tracking (RegionScout baseline): lines that left
             // remote caches or were displaced locally.
             if let Some(rf) = &mut self.region_filter {
                 let region = rf.region_of(block);
-                if filtered && dest_mask == 0 {
+                if a.filtered && a.dests == 0 {
                     rf.record_hit();
                 }
                 for j in mask_cores(outcome.invalidated) {
@@ -1368,6 +1378,7 @@ impl Simulator {
 
             // Post-transaction bookkeeping.
             self.apply_invalidations_mask(outcome.invalidated, block);
+            let evicted_dirty = outcome.evicted.map(|_| outcome.evicted_dirty);
             if let Some(victim) = outcome.evicted {
                 self.handle_eviction(c, victim, outcome.evicted_dirty);
             }
@@ -1391,11 +1402,14 @@ impl Simulator {
                     }
                 }
                 self.fill_l1(c, block, access.agent);
+                if !self.extra_lanes.is_empty() {
+                    self.replay_extra_lanes(c, access, block, sharing, evicted_dirty);
+                }
                 return;
             } else if let Some(rf) = &mut self.region_filter {
                 // A failed memory-direct attempt means the NSRT entry was
                 // stale; drop it so the broadcast retry re-verifies.
-                if dest_mask == 0 {
+                if a.dests == 0 {
                     rf.forget(c, rf.region_of(block));
                 }
             }
@@ -1405,116 +1419,54 @@ impl Simulator {
                 "persistent broadcast with memory cannot fail: it reaches \
                  every token holder on the reliable channel"
             );
-            // Exponential escalation: each failed broadcast rung backs off
-            // twice as long before re-arbitrating (reachable only under
-            // link faults — fault-free, the first broadcast succeeds).
-            if attempt >= 2 {
-                let backoff = worst_req_lat.saturating_mul(1u64 << (attempt - 2).min(8));
-                self.stats.stall_cycles[c] += backoff;
-            }
+            self.lane.back_off(c, attempt, sent.worst_req_lat);
         }
         unreachable!("the persistent attempt either succeeds or asserts");
     }
 
-    /// Computes the snoop destination set (as a core bitmask), whether
-    /// memory participates, and whether the filter had to *degrade* to
-    /// broadcast because the requester's vCPU-map register failed
-    /// validation (see [`Simulator::map_usable`]).
-    fn destinations(
-        &self,
-        requester: usize,
-        agent: Agent,
-        sharing: SharingType,
-        filtered: bool,
+    /// Records the block's pre-transaction state for the extra lanes.
+    #[cold]
+    #[inline(never)]
+    fn probe_for_lanes(&mut self, c: usize, block: BlockAddr) {
+        self.lane_view = Some(BlockView::probe(&self.l2, self.protocol.ledger(), c, block));
+    }
+
+    /// Has every extra lane replay the completed transaction against the
+    /// block as it was probed before it. Kept out of line so a
+    /// single-lane transaction carries no lane state.
+    #[inline(never)]
+    fn replay_extra_lanes(
+        &mut self,
+        c: usize,
+        access: TraceAccess,
         block: BlockAddr,
-    ) -> (u64, bool, bool) {
-        let broadcast = valid_core_mask(self.cfg.n_cores()) & !(1u64 << requester);
-        if !filtered || !self.policy.filters() {
-            return (broadcast, true, false);
+        sharing: SharingType,
+        evicted_dirty: Option<bool>,
+    ) {
+        let view = self.lane_view.take().expect("probed at transaction start");
+        let (ctx, _, extra) = self.lanes_mut();
+        for lane in extra {
+            lane.replay(&ctx, view, c, access, block, sharing, evicted_dirty);
         }
-        if let Some(rf) = &self.region_filter {
-            // Region filtering is address-based, not VM-based: a miss to a
-            // region this core verified as not-shared goes memory-direct;
-            // everything else broadcasts (RegionScout has no multicast).
-            let region = rf.region_of(block);
-            return if rf.nsrt_contains(requester, region) {
-                (0, true, false)
-            } else {
-                (broadcast, true, false)
-            };
-        }
-        let Some(vm) = agent.guest_vm() else {
-            // Hypervisor and dom0 requests must always be broadcast.
-            return (broadcast, true, false);
-        };
-        // Validate the register(s) the filter is about to trust; a failed
-        // check falls back to full broadcast (correct by construction —
-        // broadcast is what an unfiltered protocol would do) and is
-        // counted as a degraded-mode transaction.
-        let usable = |ok: bool, dests: u64| {
-            if ok {
-                (dests, true, false)
-            } else {
-                (broadcast, true, true)
-            }
-        };
-        match sharing {
-            SharingType::RwShared => (broadcast, true, false),
-            SharingType::VmPrivate => usable(
-                self.map_usable(vm, None, requester),
-                self.map_dests(vm, None, requester),
-            ),
-            SharingType::RoShared => match self.content_policy {
-                ContentPolicy::Broadcast => (broadcast, true, false),
-                ContentPolicy::MemoryDirect => (0, true, false),
-                ContentPolicy::IntraVm => usable(
-                    self.map_usable(vm, None, requester),
-                    self.map_dests(vm, None, requester),
-                ),
-                ContentPolicy::FriendVm => {
-                    let friend = self.friends[vm.index()];
-                    usable(
-                        self.map_usable(vm, friend, requester),
-                        self.map_dests(vm, friend, requester),
-                    )
-                }
+    }
+
+    /// Splits the simulator into the shared machine view lanes account
+    /// against, the primary lane, and the extra lanes.
+    fn lanes_mut(&mut self) -> (LaneCtx<'_>, &mut FilterLane, &mut [FilterLane]) {
+        (
+            LaneCtx {
+                cfg: &self.cfg,
+                l2: &self.l2,
+                hv: &self.hv,
+                friends: &self.friends,
+                region_filter: self.region_filter.as_ref(),
+                content_policy: self.content_policy,
+                cycle: self.cycle,
+                is_reference: self.protocol.is_reference(),
             },
-        }
-    }
-
-    /// Requester-side validation of the vCPU-map register(s) a filtered
-    /// snoop is about to trust — both checks are local and cheap, exactly
-    /// what filter hardware could implement:
-    ///
-    /// * no bit beyond the physical core count (a garbage register), and
-    /// * the requester's own core present in its VM's map (a core running
-    ///   the VM is by definition in its snoop domain — its absence means
-    ///   the register is stale or corrupted).
-    ///
-    /// A friend VM's register only needs the validity check: the friend
-    /// does not run on the requester's core, and a *missing* friend bit
-    /// merely under-filters, which the transient retry ladder already
-    /// absorbs (the safe-retry property).
-    fn map_usable(&self, vm: VmId, friend: Option<VmId>, requester: usize) -> bool {
-        let valid = valid_core_mask(self.cfg.n_cores());
-        let own = self.maps.map(vm.index()).mask();
-        if own & !valid != 0 || own & (1u64 << requester) == 0 {
-            return false;
-        }
-        match friend {
-            Some(f) => self.maps.map(f.index()).mask() & !valid == 0,
-            None => true,
-        }
-    }
-
-    /// Snoop destinations from the VM's (and optionally a friend's) vCPU
-    /// map: the union mask clipped to physical cores, minus the requester.
-    fn map_dests(&self, vm: VmId, friend: Option<VmId>, requester: usize) -> u64 {
-        let mut mask = self.maps.map(vm.index()).mask();
-        if let Some(f) = friend {
-            mask |= self.maps.map(f.index()).mask();
-        }
-        mask & valid_core_mask(self.cfg.n_cores()) & !(1u64 << requester)
+            &mut self.lane,
+            &mut self.extra_lanes,
+        )
     }
 
     fn read_mode(&self, agent: Agent, sharing: SharingType) -> ReadMode {
@@ -1523,7 +1475,7 @@ impl Simulator {
         // content pages away from broadcast.
         if sharing == SharingType::RoShared
             && agent.guest_vm().is_some()
-            && self.policy.uses_vcpu_maps()
+            && self.lane.policy.uses_vcpu_maps()
             && self.content_policy != ContentPolicy::Broadcast
         {
             ReadMode::CleanShared
@@ -1548,121 +1500,35 @@ impl Simulator {
         }
     }
 
-    /// Mask form of [`Simulator::apply_invalidations`] for the
-    /// allocation-free path (cores visited in the same ascending order).
-    fn apply_invalidations_mask(&mut self, invalidated: u64, block: BlockAddr) {
-        for j in mask_cores(invalidated) {
-            self.apply_invalidation(j, block);
-        }
-    }
-
     fn apply_invalidation(&mut self, j: usize, block: BlockAddr) {
         if let Some(line) = self.l1[j].remove(block) {
             debug_assert_eq!(line.block, block);
         }
-        // The removed L2 line's tag determined which VM's counter
-        // dropped; rather than thread the tag through, check every VM
-        // with a pending removal on that cache.
-        self.check_pending_removals(j);
+        let (ctx, lane, _) = self.lanes_mut();
+        lane.check_pending_removals(&ctx, j);
     }
 
+    /// Mask form of [`Simulator::apply_invalidations`] for the
+    /// allocation-free path (cores visited in ascending order).
+    fn apply_invalidations_mask(&mut self, invalidated: u64, block: BlockAddr) {
+        for j in mask_cores(invalidated) {
+            if let Some(line) = self.l1[j].remove(block) {
+                debug_assert_eq!(line.block, block);
+            }
+        }
+        let (ctx, lane, _) = self.lanes_mut();
+        lane.on_invalidated(&ctx, invalidated);
+    }
+
+    #[inline(always)]
     fn handle_eviction(&mut self, c: usize, victim: CacheLine, dirty: bool) {
         // Inclusive hierarchy: the L1 copy goes too.
         self.l1[c].remove(victim.block);
-        let kind = if dirty {
-            self.stats.writebacks += 1;
-            MessageKind::Writeback
-        } else {
-            MessageKind::TokenReply
-        };
-        self.net.to_memory(NodeId::new(c as u16), kind);
-        if let LineTag::Vm(vm) = victim.tag {
-            let _ = vm;
+        if dirty {
+            self.lane.stats.writebacks += 1;
         }
-        self.check_pending_removals(c);
-    }
-
-    /// Re-evaluates counter-based removal for every VM with a pending
-    /// timer on cache `j`, plus any VM whose counter is at zero while not
-    /// running there.
-    fn check_pending_removals(&mut self, j: usize) {
-        if !self.policy.removes_cores() {
-            return;
-        }
-        for vm_idx in 0..self.cfg.n_vms {
-            let vm = VmId::new(vm_idx as u16);
-            self.maybe_remove_core(j, vm);
-        }
-    }
-
-    fn maybe_remove_core(&mut self, j: usize, vm: VmId) {
-        if !self.policy.removes_cores() {
-            return;
-        }
-        let threshold = match self.policy {
-            FilterPolicy::Counter => 1,
-            FilterPolicy::CounterThreshold { threshold } => threshold.max(1),
-            _ => return,
-        };
-        if self.l2[j].residence(vm) >= threshold {
-            return;
-        }
-        // Never remove a core the VM is currently running on.
-        if self.hv.cores_of_vm(vm) & (1 << j) != 0 {
-            return;
-        }
-        if !self.maps.map(vm.index()).contains(CoreId::new(j as u16)) {
-            return;
-        }
-        self.maps.remove_core(vm.index(), CoreId::new(j as u16));
-        self.stats.map_removes += 1;
-        self.account_map_sync(vm);
-        let period = self.removal_pending[j][vm.index()]
-            .take()
-            .map(|t0| self.cycle - t0);
-        self.removal_log.push(RemovalEvent {
-            cycle: self.cycle,
-            core: j,
-            vm: vm.index(),
-            period,
-        });
-    }
-
-    /// Charges the vCPU-map synchronization messages: the hypervisor sends
-    /// the new value to every core in the (updated) map.
-    fn account_map_sync(&mut self, vm: VmId) {
-        if self.protocol.is_reference() {
-            return reference_path::account_map_sync(self, vm);
-        }
-        // Mask to physical cores: a corrupted register can hold bits
-        // beyond the mesh, but the hypervisor's update broadcast only ever
-        // targets real cores.
-        let mask = self.maps.map(vm.index()).mask() & valid_core_mask(self.cfg.n_cores());
-        if mask == 0 {
-            return;
-        }
-        let first = mask.trailing_zeros();
-        let src = NodeId::new(first as u16);
-        let rest = mask & (mask - 1);
-        self.net.multicast(
-            src,
-            mask_cores(rest).map(|c| NodeId::new(c as u16)),
-            MessageKind::MapUpdate,
-        );
-    }
-
-    fn count_data_source(&mut self, holder: usize, vm: Option<VmId>) {
-        match vm {
-            Some(vm)
-                if self
-                    .maps
-                    .map(vm.index())
-                    .contains(CoreId::new(holder as u16)) =>
-            {
-                self.stats.data_intra_vm += 1;
-            }
-            _ => self.stats.data_other_vm += 1,
-        }
+        let (ctx, lane, _) = self.lanes_mut();
+        lane.on_eviction(&ctx, c, dirty);
     }
 
     /// Table VI: who *could* supply a content-shared read miss.
@@ -1677,17 +1543,13 @@ impl Simulator {
             }
         }
         if holders == 0 {
-            self.stats.holders_memory += 1;
+            self.lane.stats.holders_memory += 1;
             return;
         }
-        self.stats.holders_any_cache += 1;
+        self.lane.stats.holders_any_cache += 1;
         let Some(vm) = vm else { return };
-        if holders & self.maps.map(vm.index()).mask() != 0 {
-            self.stats.holders_intra_vm += 1;
-        } else if let Some(f) = self.friends[vm.index()] {
-            if holders & self.maps.map(f.index()).mask() != 0 {
-                self.stats.holders_friend_vm += 1;
-            }
+        for lane in std::iter::once(&mut self.lane).chain(&mut self.extra_lanes) {
+            lane.classify_holders(holders, vm, &self.friends);
         }
     }
 
@@ -1695,18 +1557,6 @@ impl Simulator {
         self.friends = (0..self.cfg.n_vms)
             .map(|v| workload.friend_of(VmId::new(v as u16)))
             .collect();
-    }
-
-    /// Average link utilization so far (for the contention factor).
-    fn utilization(&self) -> f64 {
-        if self.cycle == 0 {
-            return 0.0;
-        }
-        let w = self.cfg.mesh_width;
-        let h = self.cfg.mesh_height;
-        let links = (2 * ((w - 1) * h + w * (h - 1))) as f64;
-        let capacity = links * self.cfg.network.link_bytes as f64 * self.cycle as f64;
-        self.net.traffic().byte_links() as f64 / capacity
     }
 
     /// Verifies token conservation for `block` across the whole machine
@@ -1755,7 +1605,7 @@ impl SimSnapshot {
         policy: FilterPolicy,
         content_policy: ContentPolicy,
     ) -> Result<(Simulator, Workload), SimError> {
-        let warmed = self.sim.policy;
+        let warmed = self.sim.lane.policy;
         let scout = |p: FilterPolicy| matches!(p, FilterPolicy::RegionScout { .. });
         if (scout(warmed) || scout(policy)) && policy != warmed {
             return Err(SimError::InvalidConfig(crate::config::ConfigError::new(
@@ -1767,22 +1617,24 @@ impl SimSnapshot {
             )));
         }
         let mut sim = self.sim.clone();
-        sim.policy = policy;
+        sim.lane.policy = policy;
         sim.content_policy = content_policy;
         Ok((sim, self.workload.clone()))
     }
 
     /// The filter policy the snapshot was warmed under.
     pub fn warmed_policy(&self) -> FilterPolicy {
-        self.sim.policy
+        self.sim.lane.policy
     }
 }
 
-/// Engine-agnostic view of one protocol attempt, with the invalidated
-/// remote cores as a bitmask (the fast path never materializes the set).
+/// Engine-agnostic view of one protocol attempt, with the token-only
+/// repliers and the invalidated remote cores as bitmasks (the fast path
+/// never materializes the sets).
 struct TxOutcome {
     success: bool,
     source: Option<DataSource>,
+    token_repliers: u64,
     invalidated: u64,
     evicted: Option<CacheLine>,
     evicted_dirty: bool,
@@ -1889,15 +1741,22 @@ mod tests {
         sim.run(&mut wl, 300);
 
         // Empty VM 0's register the way the fault injector would.
-        sim.maps.corrupt(0, VcpuMap::from_mask(0));
+        sim.lane.maps.corrupt(0, VcpuMap::from_mask(0));
         assert_eq!(sim.vcpu_map(VmId::new(0)).len(), 0);
 
         // Direct pin on the destination computation: with the requester's
         // own bit gone (vacuously true of an empty register), validation
         // fails and the filter falls back to all remote cores + memory.
         let agent = Agent::Guest(VcpuId::new(VmId::new(0), 0));
-        let (dests, memory, degraded) =
-            sim.destinations(0, agent, SharingType::VmPrivate, true, BlockAddr::new(0));
+        let (ctx, lane, _) = sim.lanes_mut();
+        let (dests, memory, degraded) = lane.destinations(
+            &ctx,
+            0,
+            agent,
+            SharingType::VmPrivate,
+            true,
+            BlockAddr::new(0),
+        );
         assert!(degraded, "empty map must fail use-time validation");
         assert!(memory, "degraded broadcast still includes memory");
         assert_eq!(
