@@ -9,12 +9,10 @@
 //!          [--no-wal]
 //! ```
 //!
-//! Runs the same harness the `perf` binary's `service` bin measures
-//! (`vsnoop_bench::service_load`), so a local soak and the gated perf
-//! number describe the same scenario. `--overload` shrinks the queues
-//! until most submits shed, verifying that saturation produces typed
-//! rejections rather than hangs. `--chaos` routes every client
-//! through a fault-injecting proxy (torn frames, stalls, cuts,
+//! Runs the `vsnoop_bench::service_load` harness. `--overload` shrinks
+//! the queues until most submits shed, verifying that saturation
+//! produces typed rejections rather than hangs. `--chaos` routes every
+//! client through a fault-injecting proxy (torn frames, stalls, cuts,
 //! resets; deterministic per `--chaos-seed`) and switches the clients
 //! to their retrying mode — the run must still answer every request
 //! exactly once. `--no-wal` drops the write-ahead log for a

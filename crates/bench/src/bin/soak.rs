@@ -30,9 +30,7 @@
 
 use std::process::ExitCode;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use sim_vm::{VcpuId, VmId};
+use vsnoop::experiments::cross_vm_picker;
 use vsnoop::runner::{json::Value, run_campaign, Job, Journal, RunnerConfig};
 use vsnoop::{CheckerConfig, ContentPolicy, FaultPlan, FilterPolicy, Simulator, SystemConfig};
 use vsnoop_bench::{f1, heading_string};
@@ -57,21 +55,6 @@ fn storm_workload(cfg: &SystemConfig, seed: u64) -> Result<Workload, String> {
     ))
 }
 
-fn picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, VcpuId) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    move |_| {
-        let a = rng.gen_range(0..cfg.n_vms) as u16;
-        let mut b = rng.gen_range(0..cfg.n_vms - 1) as u16;
-        if b >= a {
-            b += 1;
-        }
-        (
-            VcpuId::new(VmId::new(a), rng.gen_range(0..cfg.vcpus_per_vm)),
-            VcpuId::new(VmId::new(b), rng.gen_range(0..cfg.vcpus_per_vm)),
-        )
-    }
-}
-
 fn norm_snoops(sim: &Simulator, cfg: &SystemConfig) -> f64 {
     let s = sim.stats();
     s.snoops as f64 / (s.l2_misses.max(1) * cfg.n_cores() as u64) as f64
@@ -89,7 +72,12 @@ fn storm(rounds: u64, seed: u64, period_cycles: u64) -> Result<String, String> {
         sim.enable_epochs(env_u64("VSNOOP_EPOCH_EVERY", 64));
     }
     let mut wl = storm_workload(&cfg, seed ^ 0xD15EA5E)?;
-    sim.run_with_migration(&mut wl, rounds, period_cycles, picker(cfg, seed ^ 0x51A9));
+    sim.run_with_migration(
+        &mut wl,
+        rounds,
+        period_cycles,
+        cross_vm_picker(cfg, seed ^ 0x51A9),
+    );
     sim.run_checker_sweep();
     if let Some(dir) = vsnoop::obs::trace_dir() {
         sim.flush_epochs();
@@ -258,7 +246,7 @@ fn shapes(rounds: u64, seed: u64) -> Result<String, String> {
         sim.run(&mut wl, warmup);
         sim.reset_measurement();
         let period = cfg.cycles_per_ms / 10; // 0.1 scaled ms
-        sim.run_with_migration(&mut wl, rounds, period, picker(cfg, seed ^ 0x51A9));
+        sim.run_with_migration(&mut wl, rounds, period, cross_vm_picker(cfg, seed ^ 0x51A9));
         norm_snoops(&sim, &cfg)
     };
     out.push_str(&format!(

@@ -3,9 +3,7 @@
 //! Starts an in-process server on a loopback port, drives it with many
 //! concurrent client connections across several tenants, and reports
 //! request-latency percentiles, shed counts and the process peak RSS.
-//! Both the `loadtest` binary and the `service` bin of the `perf`
-//! harness run this, so the perf gate measures exactly the scenario
-//! the load test soaks.
+//! The `loadtest` binary runs it.
 //!
 //! Each client thread pipelines all its submits up front and then
 //! reads until every one has a terminal answer (`done` or `shed`), so
@@ -45,8 +43,8 @@ pub struct LoadOptions {
     /// Per-request deadline.
     pub deadline_ms: u64,
     /// Run the server with its write-ahead log (in a scratch state
-    /// dir). On by default so the loadtest and the `service` perf bin
-    /// both measure the service *with* its durability cost.
+    /// dir). On by default so the loadtest measures the service *with*
+    /// its durability cost.
     pub wal: bool,
     /// Route every client through a fault-injecting [`ChaosProxy`]
     /// seeded here; clients switch to reconnect-and-retry submission

@@ -67,9 +67,9 @@ impl Default for RunScale {
 /// inspection.
 ///
 /// The warm-up goes through the process-wide warm pool
-/// ([`crate::experiments::warm`]): with reuse enabled the warmed state is
-/// forked from a cached snapshot instead of re-simulated, with results
-/// bit-identical to a cold run (pinned by `tests/fork_identity.rs`).
+/// ([`crate::experiments::warm`]): the warmed state is forked from a
+/// cached snapshot instead of re-simulated, with results bit-identical
+/// to a cold run (pinned by `tests/fork_identity.rs`).
 pub fn run_pinned(
     app: &'static AppProfile,
     policy: FilterPolicy,

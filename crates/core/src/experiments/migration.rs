@@ -60,7 +60,11 @@ pub fn migration_policies() -> [FilterPolicy; 3] {
     ]
 }
 
-fn make_picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, VcpuId) {
+/// The migration model's shuffle picker for
+/// [`Simulator::run_with_migration`]: each call draws two vCPUs of two
+/// *different* VMs from a `SmallRng` seeded with `seed`, so every
+/// caller with the same seed shuffles the same pairs.
+pub fn cross_vm_picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, VcpuId) {
     let mut rng = SmallRng::seed_from_u64(seed);
     move |_| {
         let vm_a = rng.gen_range(0..cfg.n_vms);
@@ -110,7 +114,7 @@ pub(crate) fn run_migrating(
     let rounds = scale
         .measure_rounds
         .max(min_rounds.min(scale.measure_rounds.saturating_mul(16)));
-    let picker = make_picker(cfg, scale.seed ^ 0x51A9);
+    let picker = cross_vm_picker(cfg, scale.seed ^ 0x51A9);
     sim.run_with_migration(&mut wl, rounds, period_cycles, picker);
     sim
 }
@@ -189,16 +193,10 @@ pub fn removal_periods(scale: RunScale) -> Vec<RemovalSample> {
 }
 
 /// [`removal_periods`] over the given applications only. The counter
-/// results are lanes of the Fig. 7 sweep's 5 ms cells, so with reuse
-/// enabled they come straight from the memo when Fig. 7 ran first (and
-/// vice versa). Without reuse there is nothing to share, so only the
-/// counter lane is simulated.
+/// results are lanes of the Fig. 7 sweep's 5 ms cells, so they come
+/// straight from the memo when Fig. 7 ran first (and vice versa).
 pub fn removal_periods_for(apps: &[&'static AppProfile], scale: RunScale) -> Vec<RemovalSample> {
-    let policies = if warm::warm_reuse_enabled() {
-        migration_policies().to_vec()
-    } else {
-        vec![FilterPolicy::Counter]
-    };
+    let policies = migration_policies();
     let counter = policies
         .iter()
         .position(|&p| p == FilterPolicy::Counter)
@@ -311,7 +309,7 @@ mod tests {
     #[test]
     fn picker_always_crosses_vm_boundaries() {
         let cfg = SystemConfig::paper_default();
-        let mut pick = make_picker(cfg, 42);
+        let mut pick = cross_vm_picker(cfg, 42);
         for i in 0..200 {
             let (a, b) = pick(i);
             assert_ne!(a.vm(), b.vm());

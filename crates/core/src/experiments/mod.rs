@@ -16,11 +16,10 @@
 //! benchmark binaries use the full scale.
 //!
 //! The drivers share warm-up work through the process-wide warm-state
-//! pool and cell memo in [`warm`] (toggled by [`set_warm_reuse`] /
-//! `VSNOOP_WARM_REUSE`), and the heavy sweeps fan their independent
-//! cells over [`crate::runner::scatter`]'s shard pool. Both are
-//! output-invariant: report text stays byte-identical to a cold serial
-//! run at any worker count.
+//! pool and cell memo in [`warm`], and the heavy sweeps fan their
+//! independent cells over [`crate::runner::scatter`]'s shard pool. Both
+//! are output-invariant: report text stays byte-identical to a cold
+//! serial run at any worker count.
 
 mod common;
 mod content;
@@ -36,12 +35,12 @@ pub use content::{fig10, table5, table6, Fig10Row, Table5Row, Table6Row};
 pub use fig1::{fig1, Fig1Row};
 pub use fig2_validation::{fig2_validation, Fig2Validation};
 pub use migration::{
-    cdf, migration_policies, migration_sweep, migration_sweep_for, removal_periods,
-    removal_periods_for, MigrationPoint, RemovalSample,
+    cdf, cross_vm_picker, migration_policies, migration_sweep, migration_sweep_for,
+    removal_periods, removal_periods_for, MigrationPoint, RemovalSample,
 };
 pub use pinned::{table4_fig6, PinnedRow};
 pub use sched::{fig3_table1, SchedRow};
 pub use warm::{
-    cell_simulations, clear_warm_pool, reset_warm_counters, set_warm_reuse, warm_counters,
-    warm_pool_len, warm_reuse_enabled, warm_tenant_counters, DEFAULT_WARM_CAP,
+    cell_simulations, clear_warm_pool, reset_warm_counters, warm_counters, warm_pool_len,
+    warm_tenant_counters, DEFAULT_WARM_CAP,
 };

@@ -31,9 +31,7 @@
 //! Both caches serve *bit-identical* state — forked-vs-fresh identity
 //! is pinned per policy by `tests/fork_identity.rs`, and campaign
 //! stdout is pinned byte-for-byte by the report differential guard —
-//! so reuse is purely a wall-clock optimization. [`set_warm_reuse`]
-//! (or `VSNOOP_WARM_REUSE=0`) disables both caches, which is how the
-//! `perf` binary's no-reuse control bin measures the speedup honestly.
+//! so reuse is purely a wall-clock optimization and is always on.
 //!
 //! The pool holds full machine snapshots (megabytes each), so it is
 //! bounded by an LRU cap (`VSNOOP_WARM_CAP`, default
@@ -43,7 +41,7 @@
 //! under [`crate::runner::scatter`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sim_net::TrafficStats;
@@ -173,15 +171,12 @@ impl CellResult {
     }
 }
 
-/// Reuse override: 0 = unset (environment decides), 1 = on, 2 = off.
-static REUSE_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// Warm-pool effectiveness counters (process-wide, monotonic). A *hit*
 /// is a [`warmed_pair`] call served from a pooled snapshot (including
 /// threads that blocked while another warmer initialized the slot); a
 /// *miss* is a call that had to compute the warm-up; an *eviction* is
-/// an LRU drop under `VSNOOP_WARM_CAP`. The no-reuse path touches none
-/// of them — it never consults the pool.
+/// an LRU drop under `VSNOOP_WARM_CAP`. A zero-round warm-up touches
+/// none of them — it never consults the pool.
 static WARM_HITS: AtomicU64 = AtomicU64::new(0);
 static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
 static WARM_EVICTIONS: AtomicU64 = AtomicU64::new(0);
@@ -260,25 +255,6 @@ pub fn warm_tenant_counters() -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-/// Enables or disables warm-state reuse (pool *and* memo) process-wide.
-/// Overrides `VSNOOP_WARM_REUSE`.
-pub fn set_warm_reuse(on: bool) {
-    REUSE_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether warm-state reuse is active: [`set_warm_reuse`] if called,
-/// else `VSNOOP_WARM_REUSE` (`0`/`false` disables), else on.
-pub fn warm_reuse_enabled() -> bool {
-    match REUSE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => !matches!(
-            std::env::var("VSNOOP_WARM_REUSE").as_deref(),
-            Ok("0") | Ok("false") | Ok("off")
-        ),
-    }
-}
-
 fn warm_cap() -> usize {
     crate::knob::env_positive_usize("VSNOOP_WARM_CAP").unwrap_or(DEFAULT_WARM_CAP)
 }
@@ -320,9 +296,9 @@ fn memo() -> &'static Mutex<HashMap<CellKey, MemoSlot>> {
     MEMO.get_or_init(Mutex::default)
 }
 
-/// Drops every cached snapshot and memoized cell result. Used by the
-/// `perf` harness between repetitions so each timed run pays the full
-/// cost, and available to tests.
+/// Drops every cached snapshot and memoized cell result, so the next
+/// run pays the full cold cost (the benchmark's `campaign` passes and
+/// tests use it).
 pub fn clear_warm_pool() {
     let mut p = pool().lock().expect("warm pool poisoned");
     p.slots.clear();
@@ -365,10 +341,9 @@ fn build(
 /// parameters: `warmup_rounds` already executed, measurement not yet
 /// started (callers run `reset_measurement()` + the measured phase).
 ///
-/// With reuse enabled the pair is forked from the pooled snapshot of
-/// the cell's [`WarmClass`] — warming it on first use; with reuse
-/// disabled (or a zero-round warm-up, where there is nothing to share)
-/// it is warmed inline, which is the exact legacy serial path.
+/// The pair is forked from the pooled snapshot of the cell's
+/// [`WarmClass`] — warming it on first use. A zero-round warm-up has
+/// nothing to share, so it is built cold.
 pub(crate) fn warmed_pair(
     app: &'static AppProfile,
     policy: FilterPolicy,
@@ -378,7 +353,7 @@ pub(crate) fn warmed_pair(
     cfg: SystemConfig,
     scale: RunScale,
 ) -> (Simulator, Workload) {
-    if !warm_reuse_enabled() || scale.warmup_rounds == 0 {
+    if scale.warmup_rounds == 0 {
         let (mut sim, mut wl) = build(
             app,
             policy,
@@ -462,9 +437,6 @@ pub(crate) fn cell(spec: &CellSpec) -> Arc<CellResult> {
         spec.migration_period_ms.is_none(),
         "migration cells run as filter lanes: use lane_cells"
     );
-    if !warm_reuse_enabled() {
-        return Arc::new(run_cell(spec));
-    }
     let key = spec.memo_key();
     let slot = {
         let mut memo = memo().lock().expect("cell memo poisoned");
@@ -487,9 +459,6 @@ pub(crate) fn lane_cells(spec: &CellSpec, policies: &[FilterPolicy]) -> Vec<Arc<
             ..spec.clone()
         })
         .collect();
-    if !warm_reuse_enabled() {
-        return run_lanes(&specs).into_iter().map(Arc::new).collect();
-    }
     let slots: Vec<MemoSlot> = {
         let mut memo = memo().lock().expect("cell memo poisoned");
         specs
@@ -573,21 +542,33 @@ mod tests {
     use crate::experiments::common::run_pinned;
     use workloads::profile;
 
-    /// Serializes tests that flip the process-global reuse switch.
-    static REUSE_LOCK: Mutex<()> = Mutex::new(());
+    /// Serializes tests that clear the process-wide pool or read its
+    /// counters.
+    static POOL_LOCK: Mutex<()> = Mutex::new(());
 
-    fn with_reuse<R>(on: bool, f: impl FnOnce() -> R) -> R {
-        let _g = REUSE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let before = REUSE_OVERRIDE.load(Ordering::Relaxed);
-        REUSE_OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-        struct Reset(usize);
-        impl Drop for Reset {
-            fn drop(&mut self) {
-                REUSE_OVERRIDE.store(self.0, Ordering::Relaxed);
-            }
-        }
-        let _r = Reset(before);
+    fn with_pool<R>(f: impl FnOnce() -> R) -> R {
+        let _g = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        clear_warm_pool();
         f()
+    }
+
+    /// `run_pinned` without the pool: warm-up and measurement simulated
+    /// from a cold machine.
+    fn run_cold(app: &'static AppProfile, policy: FilterPolicy, cfg: SystemConfig) -> Simulator {
+        let scale = tiny();
+        let (mut sim, mut wl) = build(
+            app,
+            policy,
+            ContentPolicy::Broadcast,
+            false,
+            false,
+            cfg,
+            scale.seed,
+        );
+        sim.run(&mut wl, scale.warmup_rounds);
+        sim.reset_measurement();
+        sim.run(&mut wl, scale.measure_rounds);
+        sim
     }
 
     fn tiny() -> RunScale {
@@ -607,19 +588,8 @@ mod tests {
             FilterPolicy::VsnoopBase,
             FilterPolicy::Counter,
         ] {
-            let fresh = with_reuse(false, || {
-                run_pinned(
-                    app,
-                    policy,
-                    ContentPolicy::Broadcast,
-                    false,
-                    false,
-                    cfg,
-                    tiny(),
-                )
-            });
-            let pooled = with_reuse(true, || {
-                clear_warm_pool();
+            let fresh = run_cold(app, policy, cfg);
+            let pooled = with_pool(|| {
                 run_pinned(
                     app,
                     policy,
@@ -643,8 +613,7 @@ mod tests {
     fn policies_in_the_shared_class_share_one_snapshot() {
         let cfg = SystemConfig::small_test();
         let app = profile("lu").unwrap();
-        with_reuse(true, || {
-            clear_warm_pool();
+        with_pool(|| {
             for policy in [
                 FilterPolicy::TokenBroadcast,
                 FilterPolicy::VsnoopBase,
@@ -669,8 +638,7 @@ mod tests {
     fn region_scout_warms_its_own_snapshot() {
         let cfg = SystemConfig::small_test();
         let app = profile("lu").unwrap();
-        with_reuse(true, || {
-            clear_warm_pool();
+        with_pool(|| {
             let _ = run_pinned(
                 app,
                 FilterPolicy::VsnoopBase,
@@ -705,26 +673,17 @@ mod tests {
             scale: tiny(),
             migration_period_ms: None,
         };
-        with_reuse(true, || {
-            clear_warm_pool();
-            let a = cell(&spec);
-            let b = cell(&spec);
-            assert!(Arc::ptr_eq(&a, &b), "second lookup must be a memo hit");
-        });
-        let fresh = with_reuse(false, || run_cell(&spec));
-        let memoized = with_reuse(true, || {
-            clear_warm_pool();
-            cell(&spec)
-        });
-        assert_eq!(fresh.stats, memoized.stats);
+        let (a, b) = with_pool(|| (cell(&spec), cell(&spec)));
+        assert!(Arc::ptr_eq(&a, &b), "second lookup must be a memo hit");
+        let fresh = run_cold(spec.app, spec.policy, spec.cfg);
+        assert_eq!(fresh.stats(), &a.stats);
     }
 
     #[test]
     fn counters_track_pool_hits_and_misses() {
         let cfg = SystemConfig::small_test();
         let app = profile("fft").unwrap();
-        with_reuse(true, || {
-            clear_warm_pool();
+        with_pool(|| {
             let (h0, m0, _) = warm_counters();
             let _ = run_pinned(
                 app,
@@ -773,8 +732,7 @@ mod tests {
                 scale,
             );
         };
-        with_reuse(true, || {
-            clear_warm_pool();
+        with_pool(|| {
             reset_warm_counters();
             // acme pays the warm-up; globex rides the shared pool.
             crate::obs::with_tenant("acme", run);
@@ -793,8 +751,7 @@ mod tests {
     #[test]
     fn lru_cap_bounds_the_pool() {
         let cfg = SystemConfig::small_test();
-        with_reuse(true, || {
-            clear_warm_pool();
+        with_pool(|| {
             let (_, _, e0) = warm_counters();
             // Distinct seeds force distinct keys.
             for seed in 0..(DEFAULT_WARM_CAP as u64 + 5) {

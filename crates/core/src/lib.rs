@@ -65,9 +65,7 @@ pub use checker::{CheckerConfig, CheckerCtx, InvariantChecker, InvariantKind, Vi
 pub use config::{ConfigError, SystemConfig};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::SimError;
-pub use experiments::{
-    clear_warm_pool, set_warm_reuse, warm_counters, warm_reuse_enabled, warm_tenant_counters,
-};
+pub use experiments::{clear_warm_pool, warm_counters, warm_tenant_counters};
 pub use fault::{FaultInjectionStats, FaultPlan, MapCorruption};
 pub use policy::{ContentPolicy, FilterPolicy};
 pub use region_filter::RegionFilter;

@@ -30,11 +30,11 @@
 //! Service- and reactor-stage recording is **always on**: each record
 //! costs a thread-local read plus a few uncontended relaxed atomic
 //! adds, noise against the millisecond-scale operations it measures
-//! (the `service`/`service_conns` perf bins gate that claim). The
+//! (the benchmark's `obs.hist_record_ns` prices one record). The
 //! engine-phase histograms alone are gated on [`enabled`] —
 //! `VSNOOP_METRICS=1`, [`set_enabled`], or an active trace directory —
 //! because the batched simulation loop is the workspace's zero-cost
-//! hot path (the `storm_metrics` perf bin watches the enabled cost).
+//! hot path.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -415,8 +415,8 @@ static METRICS_ON: AtomicBool = AtomicBool::new(false);
 /// ([`set_enabled`] / `VSNOOP_METRICS=1`) **or** the observability
 /// layer is on. Note the engine itself refuses the batched path while
 /// tracing is on, so explicit enablement is how the batched phases are
-/// actually observed (the `storm_metrics` perf bin). Service and
-/// reactor recording ignores this gate entirely.
+/// actually observed (the benchmark's `engine.*` phase rows). Service
+/// and reactor recording ignores this gate entirely.
 #[inline]
 pub fn enabled() -> bool {
     METRICS_ON.load(Ordering::Relaxed) || super::enabled()

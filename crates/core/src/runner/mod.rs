@@ -28,6 +28,7 @@
 //! tests can drive it; it has no dependencies beyond `std` (the journal
 //! and reproducers use the small hand-rolled [`json`] codec).
 
+mod arenas;
 mod cancel;
 mod job;
 mod journal;

@@ -73,6 +73,7 @@ where
         return items.into_iter().map(f).collect();
     }
 
+    super::arenas::cap_per_cpu();
     let token = cancel::current();
     let scope = crate::obs::scope_label();
     let tenant = crate::obs::tenant_label();

@@ -341,6 +341,7 @@ pub fn run_campaign(
         }
     }
     install_quiet_hook();
+    super::arenas::cap_per_cpu();
 
     // Resume: restore terminal results recorded by a previous run. The
     // prior journal is loaded *before* it is reopened for appending,

@@ -30,8 +30,9 @@
 //! line under the lock, then one of them issues the `fdatasync` that
 //! covers everyone appended so far while the rest wait on a condvar.
 //! Under load the fsync cost is amortized over every in-flight
-//! request, which is what keeps the `service` perf bin inside its
-//! `BENCH_throughput.json` gate with the WAL on.
+//! request, so the WAL adds one shared fsync per batch rather than
+//! one per request (the benchmark's traced `serve_open` run reports
+//! it as `server.stage_wal_fsync_us_*`).
 //!
 //! Like every JSONL artifact in the repo, a torn trailing line (the
 //! process died mid-append) is repaired on reopen and skipped on load.

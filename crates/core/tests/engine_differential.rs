@@ -13,9 +13,7 @@
 //! process-global: concurrent tests constructing simulators would race on
 //! it.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use sim_vm::{VcpuId, VmId};
+use vsnoop::experiments::cross_vm_picker;
 use vsnoop::{CheckerConfig, ContentPolicy, FaultPlan, FilterPolicy, Simulator, SystemConfig};
 use workloads::{profile, Workload, WorkloadConfig};
 
@@ -144,23 +142,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The perf harness's migration picker, duplicated so the storm scenario
-/// shuffles the same pairs.
-fn picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, VcpuId) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    move |_| {
-        let a = rng.gen_range(0..cfg.n_vms) as u16;
-        let mut b = rng.gen_range(0..cfg.n_vms - 1) as u16;
-        if b >= a {
-            b += 1;
-        }
-        (
-            VcpuId::new(VmId::new(a), rng.gen_range(0..cfg.vcpus_per_vm)),
-            VcpuId::new(VmId::new(b), rng.gen_range(0..cfg.vcpus_per_vm)),
-        )
-    }
-}
-
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(PartialEq, Debug)]
 struct RunDigest {
@@ -200,7 +181,9 @@ fn run_one(sc: &Scenario, reference: bool) -> RunDigest {
         },
     );
     match sc.migration {
-        Some(period) => sim.run_with_migration(&mut wl, sc.rounds, period, picker(sc.cfg, 0x51A9)),
+        Some(period) => {
+            sim.run_with_migration(&mut wl, sc.rounds, period, cross_vm_picker(sc.cfg, 0x51A9))
+        }
         None => sim.run(&mut wl, sc.rounds),
     }
     sim.run_checker_sweep();

@@ -9,9 +9,7 @@
 //! transaction, a reordered merge, a mis-replayed contention stall —
 //! fails the sweep at the exact scenario that exhibits it.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use sim_vm::{VcpuId, VmId};
+use vsnoop::experiments::cross_vm_picker;
 use vsnoop::{CheckerConfig, ContentPolicy, FilterPolicy, Simulator, SystemConfig};
 use workloads::{profile, Workload, WorkloadConfig};
 
@@ -36,8 +34,8 @@ fn scenarios() -> Vec<Scenario> {
     let small = SystemConfig::small_test();
     let storm_period = (paper.cycles_per_ms / 10).max(1);
     vec![
-        // The perf harness's parallel storm profile: paper machine,
-        // 0.1 ms migration storm.
+        // The benchmark's `migrate` profile: paper machine, 0.1 ms
+        // migration storm.
         Scenario {
             name: "storm",
             cfg: paper,
@@ -86,23 +84,6 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-/// The perf harness's migration picker, duplicated so the storm
-/// scenarios shuffle the same pairs at every worker count.
-fn picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, VcpuId) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    move |_| {
-        let a = rng.gen_range(0..cfg.n_vms) as u16;
-        let mut b = rng.gen_range(0..cfg.n_vms - 1) as u16;
-        if b >= a {
-            b += 1;
-        }
-        (
-            VcpuId::new(VmId::new(a), rng.gen_range(0..cfg.vcpus_per_vm)),
-            VcpuId::new(VmId::new(b), rng.gen_range(0..cfg.vcpus_per_vm)),
-        )
-    }
-}
-
 /// Everything observable about a finished run, comparable with `==`.
 #[derive(PartialEq, Debug)]
 struct RunDigest {
@@ -127,7 +108,9 @@ fn run_one(sc: &Scenario, workers: usize) -> RunDigest {
         },
     );
     match sc.migration {
-        Some(period) => sim.run_with_migration(&mut wl, sc.rounds, period, picker(sc.cfg, 0x51A9)),
+        Some(period) => {
+            sim.run_with_migration(&mut wl, sc.rounds, period, cross_vm_picker(sc.cfg, 0x51A9))
+        }
         None => sim.run(&mut wl, sc.rounds),
     }
     RunDigest {
@@ -201,7 +184,7 @@ fn ineligible_runs_fall_back_to_the_serial_path() {
                 ..Default::default()
             },
         );
-        sim.run_with_migration(&mut wl, 800, 200, picker(cfg, 0x71C4));
+        sim.run_with_migration(&mut wl, 800, 200, cross_vm_picker(cfg, 0x71C4));
         sim.run_checker_sweep();
         let ch = sim.checker().expect("checker stays on");
         (
