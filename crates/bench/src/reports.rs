@@ -15,7 +15,7 @@ use vsnoop::experiments::fig10 as fig10_rows;
 use vsnoop::experiments::{
     cdf, fig1 as fig1_rows, fig2_validation as fig2_validation_rows, fig3_table1,
     migration_policies, migration_sweep, removal_periods, table4_fig6, table5 as table5_rows,
-    table6 as table6_rows, RunScale,
+    table6 as table6_rows, RunScale, FIG3_TABLE1_SEED,
 };
 use vsnoop::{fig2_sweep, ContentPolicy, SystemConfig};
 use workloads::{content_apps, simulation_apps};
@@ -134,7 +134,7 @@ pub fn fig3(_scale: RunScale) -> Result<String, String> {
          4 VMs x 4 vCPUs. 100% = the slower policy. Paper: pinning wins\n\
          undercommitted, full migration wins overcommitted.",
     );
-    let rows = fig3_table1(7);
+    let rows = fig3_table1(FIG3_TABLE1_SEED);
     let mut t = TextTable::new([
         "workload",
         "under no-mig %",
@@ -165,7 +165,7 @@ pub fn table1(_scale: RunScale) -> Result<String, String> {
          much shorter; CPU-bound apps (blackscholes, swaptions, freqmine)\n\
          migrate rarely; I/O-heavy apps (dedup, vips) migrate constantly.",
     );
-    let rows = fig3_table1(7);
+    let rows = fig3_table1(FIG3_TABLE1_SEED);
     let mut t = TextTable::new([
         "workload",
         "undercommit ms",

@@ -16,10 +16,11 @@
 //! benchmark binaries use the full scale.
 //!
 //! The drivers share warm-up work through the process-wide warm-state
-//! pool and cell memo in [`warm`], and the heavy sweeps fan their
-//! independent cells over [`crate::runner::scatter`]'s shard pool. Both
-//! are output-invariant: report text stays byte-identical to a cold
-//! serial run at any worker count.
+//! pool, cell memo and scheduler memo in [`warm`], and the heavy sweeps
+//! and the scheduler study fan their independent cells and runs over
+//! [`crate::runner::scatter`]'s shard pool. Both are output-invariant:
+//! report text stays byte-identical to a cold serial run at any worker
+//! count.
 
 mod common;
 mod content;
@@ -39,8 +40,8 @@ pub use migration::{
     removal_periods, removal_periods_for, MigrationPoint, RemovalSample,
 };
 pub use pinned::{table4_fig6, PinnedRow};
-pub use sched::{fig3_table1, SchedRow};
+pub use sched::{fig3_table1, SchedRow, FIG3_TABLE1_SEED};
 pub use warm::{
-    cell_simulations, clear_warm_pool, reset_warm_counters, warm_counters, warm_pool_len,
-    warm_tenant_counters, DEFAULT_WARM_CAP,
+    cell_simulations, clear_warm_pool, reset_warm_counters, scheduler_runs, warm_counters,
+    warm_pool_len, warm_tenant_counters, DEFAULT_WARM_CAP,
 };

@@ -16,8 +16,6 @@
 //! undercommitted systems, and every migration costs a configurable
 //! cache-warmth penalty.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -157,8 +155,18 @@ enum Phase {
     Blocked,
 }
 
+/// Serial-phase state of one VM. The run keeps one per distinct
+/// [`VmId`], in `VmId` order — the order the phase draws are made in.
+struct VmPhase {
+    id: VmId,
+    behavior: WorkloadBehavior,
+    serial: bool,
+}
+
 struct VcpuState {
     id: VcpuId,
+    /// Index of the vCPU's VM in the run's [`VmPhase`] table.
+    vm: usize,
     behavior: WorkloadBehavior,
     background: bool,
     pinned_core: Option<usize>,
@@ -171,6 +179,8 @@ struct VcpuState {
     home: usize,
     /// Core the vCPU last actually ran on.
     last_ran: Option<usize>,
+    /// Running on a core (always its `home`) this tick.
+    on_core: bool,
     finished_at: Option<u64>,
 }
 
@@ -216,12 +226,32 @@ pub fn run_scheduler(config: &SchedulerConfig, workloads: &[VmWorkload]) -> Sche
     );
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
-    // --- Build vCPU states -------------------------------------------------
+    // --- Build VM and vCPU states -----------------------------------------
+    // One phase slot per distinct VM; a later workload with the same id
+    // replaces an earlier one's behaviour.
+    let mut vms: Vec<VmPhase> = Vec::with_capacity(workloads.len());
+    for wl in workloads {
+        match vms.binary_search_by_key(&wl.spec.id(), |p| p.id) {
+            Ok(i) => vms[i].behavior = wl.behavior,
+            Err(i) => vms.insert(
+                i,
+                VmPhase {
+                    id: wl.spec.id(),
+                    behavior: wl.behavior,
+                    serial: false,
+                },
+            ),
+        }
+    }
     let mut vcpus: Vec<VcpuState> = Vec::new();
     for wl in workloads {
+        let vm = vms
+            .binary_search_by_key(&wl.spec.id(), |p| p.id)
+            .expect("every workload has a phase slot");
         for v in wl.spec.vcpus() {
             vcpus.push(VcpuState {
                 id: v,
+                vm,
                 behavior: wl.behavior,
                 background: wl.background,
                 pinned_core: None,
@@ -231,6 +261,7 @@ pub fn run_scheduler(config: &SchedulerConfig, workloads: &[VmWorkload]) -> Sche
                 credits: 0.0,
                 home: 0,
                 last_ran: None,
+                on_core: false,
                 finished_at: if wl.behavior.work_ticks <= 0.0 && !wl.background {
                     Some(0)
                 } else {
@@ -263,23 +294,28 @@ pub fn run_scheduler(config: &SchedulerConfig, workloads: &[VmWorkload]) -> Sche
     }
 
     // --- Main loop ----------------------------------------------------------
+    // Every buffer the loop uses is allocated here, once per run.
     let mut running: Vec<Option<usize>> = vec![None; config.n_cores]; // vcpu index per core
+    let mut picks: Vec<Option<usize>> = vec![None; config.n_cores];
+    let mut woken: Vec<usize> = Vec::with_capacity(vcpus.len());
+    let mut idle: Vec<usize> = Vec::with_capacity(config.n_cores);
+    let mut waiting: Vec<usize> = Vec::with_capacity(vcpus.len());
     let mut migrations = 0u64;
     let mut busy_core_ticks = 0u64;
     let mut makespan: Option<u64> = None;
     let mut tick = 0u64;
-    // Per-VM serial-phase state (Amdahl sections), keyed by workload index.
-    let mut vm_serial: BTreeMap<VmId, bool> =
-        workloads.iter().map(|w| (w.spec.id(), false)).collect();
-    let vm_behavior: BTreeMap<VmId, WorkloadBehavior> = workloads
+    // Background vCPUs never finish, so the unfinished count is the
+    // foreground count still working plus every background vCPU.
+    let background = vcpus.iter().filter(|v| v.background).count();
+    let mut foreground_left = vcpus
         .iter()
-        .map(|w| (w.spec.id(), w.behavior))
-        .collect();
+        .filter(|v| !v.background && !v.finished())
+        .count();
 
     while tick < config.max_ticks {
         // Credit refill at every accounting period boundary.
         if tick.is_multiple_of(config.credit_period_ticks) {
-            let active = vcpus.iter().filter(|v| !v.finished()).count().max(1);
+            let active = (foreground_left + background).max(1);
             let fair = config.credit_period_ticks as f64 * config.n_cores as f64 / active as f64;
             for v in vcpus.iter_mut().filter(|v| !v.finished()) {
                 v.credits = fair;
@@ -287,24 +323,24 @@ pub fn run_scheduler(config: &SchedulerConfig, workloads: &[VmWorkload]) -> Sche
         }
 
         // VM-wide parallel/serial phase transitions.
-        for (&vm, serial) in vm_serial.iter_mut() {
-            let b = vm_behavior[&vm];
+        for vm in vms.iter_mut() {
+            let b = vm.behavior;
             if b.mean_serial_ticks <= 0.0 {
                 continue;
             }
-            if *serial {
+            if vm.serial {
                 if rng.gen::<f64>() < 1.0 / b.mean_serial_ticks {
-                    *serial = false;
+                    vm.serial = false;
                 }
             } else if b.mean_parallel_ticks.is_finite()
                 && rng.gen::<f64>() < 1.0 / b.mean_parallel_ticks
             {
-                *serial = true;
+                vm.serial = true;
             }
         }
 
         // Phase transitions (geometric burst lengths).
-        let mut woken: Vec<usize> = Vec::new();
+        woken.clear();
         for (vi, v) in vcpus.iter_mut().enumerate().filter(|(_, v)| !v.finished()) {
             match v.phase {
                 Phase::Busy => {
@@ -326,101 +362,123 @@ pub fn run_scheduler(config: &SchedulerConfig, workloads: &[VmWorkload]) -> Sche
         // is enqueued on an idle core instead (within its allowed domain).
         // This is the main source of relocations in undercommitted
         // systems (Section III-B).
-        for vi in woken {
-            if vcpus[vi].pinned_core.is_some() {
-                continue;
+        for &vi in &woken {
+            let v = &vcpus[vi];
+            if v.pinned_core.is_some() || running[v.home].is_none() {
+                continue; // pinned, or old core free: stay for cache warmth
             }
-            if running[vcpus[vi].home].is_none() {
-                continue; // old core free: stay for cache warmth
-            }
-            let (base, len) = vcpus[vi].allowed.unwrap_or((0, config.n_cores));
-            let idle: Vec<usize> = (base..base + len)
-                .filter(|&c| running[c].is_none())
-                .collect();
+            let (base, len) = v.allowed.unwrap_or((0, config.n_cores));
+            idle.clear();
+            idle.extend((base..base + len).filter(|&c| running[c].is_none()));
             if !idle.is_empty() {
                 vcpus[vi].home = idle[rng.gen_range(0..idle.len())];
             }
         }
 
-        let is_runnable = |v: &VcpuState| v.runnable(*vm_serial.get(&v.id.vm()).unwrap_or(&false));
-
         // Deschedule cores whose current vCPU can no longer run.
         for slot in running.iter_mut() {
             if let Some(vi) = *slot {
-                if !is_runnable(&vcpus[vi]) {
+                let v = &mut vcpus[vi];
+                if !v.runnable(vms[v.vm].serial) {
+                    v.on_core = false;
                     *slot = None;
                 }
             }
         }
 
-        // Each core picks the highest-credit runnable vCPU homed on it.
-        for core in 0..config.n_cores {
-            if running[core].is_some() {
+        // Each free core picks the highest-credit runnable vCPU homed on
+        // it (the last one on a tie). A vCPU has one home, so one pass
+        // over the vCPUs makes every core's pick.
+        picks.fill(None);
+        for (vi, v) in vcpus.iter().enumerate() {
+            if v.on_core || running[v.home].is_some() || !v.runnable(vms[v.vm].serial) {
                 continue;
             }
-            let pick = vcpus
-                .iter()
-                .enumerate()
-                .filter(|(vi, v)| v.home == core && is_runnable(v) && !running.contains(&Some(*vi)))
-                .max_by(|a, b| a.1.credits.total_cmp(&b.1.credits))
-                .map(|(vi, _)| vi);
-            running[core] = pick;
+            let best = &mut picks[v.home];
+            if best.is_none_or(|b| v.credits.total_cmp(&vcpus[b].credits).is_ge()) {
+                *best = Some(vi);
+            }
+        }
+        for (slot, &pick) in running.iter_mut().zip(&picks) {
+            if let Some(vi) = pick {
+                *slot = Some(vi);
+                vcpus[vi].on_core = true;
+            }
         }
 
         // Idle cores steal waiting runnable vCPUs (full-migration policy,
         // restricted policy within the VM's subset, and always for
-        // background/dom0 vCPUs).
-        for core in 0..config.n_cores {
-            if running[core].is_some() {
-                continue;
-            }
-            let steal = vcpus
-                .iter()
-                .enumerate()
-                .filter(|(vi, v)| {
+        // background/dom0 vCPUs), each from the vCPUs still waiting.
+        if running.contains(&None) {
+            waiting.clear();
+            waiting.extend(
+                vcpus
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| {
+                        !v.on_core
+                            && v.pinned_core.is_none()
+                            && (config.policy != SchedPolicy::Pinned || v.background)
+                            && v.runnable(vms[v.vm].serial)
+                    })
+                    .map(|(vi, _)| vi),
+            );
+            for (core, slot) in running.iter_mut().enumerate() {
+                if waiting.is_empty() {
+                    break;
+                }
+                if slot.is_some() {
+                    continue;
+                }
+                let mut steal: Option<usize> = None; // position in `waiting`
+                for (k, &vi) in waiting.iter().enumerate() {
+                    let v = &vcpus[vi];
                     let in_domain = match v.allowed {
                         Some((base, len)) => core >= base && core < base + len,
                         None => true,
                     };
-                    is_runnable(v)
-                        && !running.contains(&Some(*vi))
-                        && v.pinned_core.is_none()
-                        && in_domain
-                        && (config.policy != SchedPolicy::Pinned || v.background)
-                })
-                .max_by(|a, b| a.1.credits.total_cmp(&b.1.credits))
-                .map(|(vi, _)| vi);
-            if let Some(vi) = steal {
-                vcpus[vi].home = core;
-                running[core] = Some(vi);
+                    if in_domain
+                        && steal
+                            .is_none_or(|s| v.credits.total_cmp(&vcpus[waiting[s]].credits).is_ge())
+                    {
+                        steal = Some(k);
+                    }
+                }
+                if let Some(k) = steal {
+                    let vi = waiting.remove(k);
+                    vcpus[vi].home = core;
+                    vcpus[vi].on_core = true;
+                    *slot = Some(vi);
+                }
             }
         }
 
         // Execute one tick on every busy core.
         for (core, slot) in running.iter_mut().enumerate() {
             let Some(vi) = *slot else { continue };
+            let v = &mut vcpus[vi];
             busy_core_ticks += 1;
-            let migrated = vcpus[vi].last_ran.is_some_and(|c| c != core);
-            if migrated {
-                if !vcpus[vi].background {
+            if v.last_ran.is_some_and(|c| c != core) {
+                if !v.background {
                     migrations += 1;
                 }
-                vcpus[vi].remaining_work += vcpus[vi].behavior.migration_penalty_ticks;
+                v.remaining_work += v.behavior.migration_penalty_ticks;
             }
-            vcpus[vi].last_ran = Some(core);
-            vcpus[vi].credits -= 1.0;
-            if !vcpus[vi].background {
-                vcpus[vi].remaining_work -= 1.0;
-                if vcpus[vi].remaining_work <= 0.0 {
-                    vcpus[vi].finished_at = Some(tick + 1);
+            v.last_ran = Some(core);
+            v.credits -= 1.0;
+            if !v.background {
+                v.remaining_work -= 1.0;
+                if v.remaining_work <= 0.0 {
+                    v.finished_at = Some(tick + 1);
+                    v.on_core = false;
                     *slot = None;
+                    foreground_left -= 1;
                 }
             }
         }
 
         tick += 1;
-        let all_done = vcpus.iter().filter(|v| !v.background).all(|v| v.finished());
-        if all_done {
+        if foreground_left == 0 {
             makespan = Some(tick);
             break;
         }

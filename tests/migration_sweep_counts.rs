@@ -11,12 +11,14 @@
 //! counter cells are lanes of the 5 ms cells, simulates nothing new.
 //! The cell memo makes reports built from identical cells free: Fig. 6
 //! after Table IV, Table VI after Table V, and Fig. 10's broadcast bars.
+//! The scheduler memo does the same for Table I after Fig. 3.
 
 use std::sync::Mutex;
 
 use vsnoop::experiments::{
-    cell_simulations, clear_warm_pool, fig10, migration_policies, migration_sweep_for,
-    removal_periods_for, reset_warm_counters, table4_fig6, table5, table6, warm_counters, RunScale,
+    cell_simulations, clear_warm_pool, fig10, fig3_table1, migration_policies, migration_sweep_for,
+    removal_periods_for, reset_warm_counters, scheduler_runs, table4_fig6, table5, table6,
+    warm_counters, RunScale, FIG3_TABLE1_SEED,
 };
 use vsnoop::ContentPolicy;
 use workloads::{content_apps, profile, simulation_apps};
@@ -118,5 +120,23 @@ fn content_reports_share_the_broadcast_cell() {
             n_content + n_content * non_broadcast,
             "Fig. 10 adds only its non-broadcast content-policy cells"
         );
+    });
+}
+
+/// Fig. 3 and Table I both render `fig3_table1(FIG3_TABLE1_SEED)`: 13
+/// apps x {2, 4} VMs x {pinned, full migration} = 52 scheduler runs for
+/// the pair, not 104, and a cleared memo pays them again.
+#[test]
+fn table1_after_fig3_runs_no_scheduler() {
+    isolated(|| {
+        let runs = 52;
+        let fig3 = fig3_table1(FIG3_TABLE1_SEED);
+        assert_eq!(scheduler_runs(), runs, "four runs per app");
+        let table1 = fig3_table1(FIG3_TABLE1_SEED);
+        assert_eq!(scheduler_runs(), runs, "Table I reuses Fig. 3's runs");
+        assert_eq!(format!("{fig3:?}"), format!("{table1:?}"));
+        clear_warm_pool();
+        let _ = fig3_table1(FIG3_TABLE1_SEED);
+        assert_eq!(scheduler_runs(), 2 * runs, "a cleared memo runs again");
     });
 }
