@@ -493,16 +493,14 @@ fn flush_batch(
     }
 }
 
-/// [`Simulator::utilization`] with explicit inputs (the replay walks a
+/// `FilterLane::utilization` with explicit inputs (the replay walks a
 /// reconstructed byte-links counter, not the live network's).
 fn utilization_at(cfg: &SystemConfig, byte_links: u64, cycle: u64) -> f64 {
-    if cycle == 0 {
+    let links = Mesh::new(cfg.mesh_width, cfg.mesh_height).links();
+    if cycle == 0 || links == 0 {
         return 0.0;
     }
-    let w = cfg.mesh_width;
-    let h = cfg.mesh_height;
-    let links = (2 * ((w - 1) * h + w * (h - 1))) as f64;
-    let capacity = links * cfg.network.link_bytes as f64 * cycle as f64;
+    let capacity = links as f64 * cfg.network.link_bytes as f64 * cycle as f64;
     byte_links as f64 / capacity
 }
 

@@ -18,6 +18,14 @@
 //! of that view — its destinations, retries, snoops, traffic, stalls and
 //! counter removals — exactly as a standalone run under its policy would
 //! have. Nothing is buffered across transactions.
+//!
+//! The probe is narrowed. It first visits the requester and the caches
+//! any extra lane's first attempt snoops, and visits the other caches
+//! only when the tokens it has seen there and at memory fall short of the
+//! block's total. That is exact, not a heuristic: tokens are conserved,
+//! and every valid L2 line holds at least one token (both checker
+//! invariants), so once the count is complete no unvisited cache can
+//! hold the block.
 
 use super::*;
 
@@ -288,24 +296,19 @@ impl FilterLane {
         let lm = *self.net.latency_model();
         let round_trip = match outcome.source {
             Some(DataSource::Cache(h)) => {
-                let resp = self
-                    .net
-                    .unicast(NodeId::new(h as u16), src, MessageKind::Data);
+                let holder = NodeId::new(h as u16);
+                let resp = self.net.unicast(holder, src, MessageKind::Data);
                 self.count_data_source(h, agent.guest_vm());
-                let req_leg = lm.base_latency(
-                    self.net.mesh().hops(src, NodeId::new(h as u16)),
-                    MessageKind::Request.bytes(),
-                );
+                let req_leg =
+                    lm.base_latency(self.net.hops(src, holder), MessageKind::Request.bytes());
                 req_leg + resp
             }
             Some(DataSource::Memory) => {
                 let resp = self.net.from_memory(src, MessageKind::Data) + ctx.cfg.memory_latency;
                 self.stats.data_memory += 1;
-                let port = self.net.mesh().nearest_port(src, self.net.memory_ports());
-                let req_leg = lm.base_latency(
-                    self.net.mesh().hops(src, port),
-                    MessageKind::Request.bytes(),
-                );
+                let port = self.net.nearest_port(src);
+                let req_leg =
+                    lm.base_latency(self.net.hops(src, port), MessageKind::Request.bytes());
                 req_leg + resp
             }
             // Failed attempt (or a dataless upgrade): the requester waits
@@ -558,14 +561,15 @@ impl FilterLane {
             FilterPolicy::CounterThreshold { threshold } => threshold.max(1),
             _ => return,
         };
+        // Cheapest check first: all three are side-effect-free.
+        if !self.maps.map(vm.index()).contains(CoreId::new(j as u16)) {
+            return;
+        }
         if ctx.l2[j].residence(vm) >= threshold {
             return;
         }
         // Never remove a core the VM is currently running on.
         if ctx.hv.cores_of_vm(vm) & (1 << j) != 0 {
-            return;
-        }
-        if !self.maps.map(vm.index()).contains(CoreId::new(j as u16)) {
             return;
         }
         self.maps.remove_core(vm.index(), CoreId::new(j as u16));
@@ -637,16 +641,15 @@ impl FilterLane {
         }
     }
 
-    /// Average link utilization so far (for the contention factor).
+    /// Average link utilization so far (for the contention factor); 0 on
+    /// a mesh with no links, whose messages never leave their router.
     #[inline]
     pub(super) fn utilization(&self, ctx: &LaneCtx<'_>) -> f64 {
-        if ctx.cycle == 0 {
+        let links = self.net.mesh().links();
+        if ctx.cycle == 0 || links == 0 {
             return 0.0;
         }
-        let w = ctx.cfg.mesh_width;
-        let h = ctx.cfg.mesh_height;
-        let links = (2 * ((w - 1) * h + w * (h - 1))) as f64;
-        let capacity = links * ctx.cfg.network.link_bytes as f64 * ctx.cycle as f64;
+        let capacity = links as f64 * ctx.cfg.network.link_bytes as f64 * ctx.cycle as f64;
         self.net.traffic().byte_links() as f64 / capacity
     }
 }
@@ -671,11 +674,19 @@ pub(super) struct BlockView {
 }
 
 impl BlockView {
+    /// Probes `block` in the caches of `first` and at memory, and in the
+    /// other caches only if the tokens seen so far fall short of the
+    /// block's total; `valid_core_mask(l2.len())` probes every cache.
+    ///
+    /// Exact for any `first`: tokens are conserved and a valid line holds
+    /// at least one, so a complete count proves no other cache holds the
+    /// block.
     pub(super) fn probe(
         l2: &[Cache],
         ledger: &dyn TokenLedger,
         requester: usize,
         block: BlockAddr,
+        first: u64,
     ) -> Self {
         let mut view = BlockView {
             holders: 0,
@@ -686,22 +697,37 @@ impl BlockView {
             have: None,
             total: ledger.total_tokens(),
         };
-        for (j, cache) in l2.iter().enumerate() {
-            let Some(line) = cache.probe(block) else {
-                continue;
-            };
-            if j == requester {
-                view.have = Some(line.state.tokens);
-                continue;
-            }
-            view.holders |= 1u64 << j;
-            // At most 64 cores, so at most 64 tokens per block.
-            view.tokens[j] = line.state.tokens as u8;
-            if line.state.owner {
-                view.owner = Some(j);
-            }
+        let all = valid_core_mask(l2.len());
+        let seen = view.mem_tokens + view.visit(l2, requester, block, first & all);
+        if seen < view.total {
+            #[cfg(test)]
+            tests::WIDENED.with(|n| n.set(n.get() + 1));
+            view.visit(l2, requester, block, all & !first);
         }
         view
+    }
+
+    /// Records the lines of `block` in the caches of `mask`; returns the
+    /// tokens they hold.
+    fn visit(&mut self, l2: &[Cache], requester: usize, block: BlockAddr, mask: u64) -> u32 {
+        let mut seen = 0;
+        for j in mask_cores(mask) {
+            let Some(line) = l2[j].probe(block) else {
+                continue;
+            };
+            seen += line.state.tokens;
+            if j == requester {
+                self.have = Some(line.state.tokens);
+                continue;
+            }
+            self.holders |= 1u64 << j;
+            // At most 64 cores, so at most 64 tokens per block.
+            self.tokens[j] = line.state.tokens as u8;
+            if line.state.owner {
+                self.owner = Some(j);
+            }
+        }
+        seen
     }
 
     fn attempt(&mut self, write: bool, dests: u64, memory: bool) -> TxOutcome {
@@ -770,6 +796,12 @@ impl BlockView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// How many probes on this thread looked past their first mask.
+        pub(super) static WIDENED: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// The comparable part of a view: holders with their tokens, owner,
     /// memory entry and the requester's copy.
@@ -788,17 +820,21 @@ mod tests {
     /// A random walk of reads and writes under random (often too narrow)
     /// destination sets: every attempt on a [`BlockView`] must report
     /// what the token protocol did, and a failed one must leave the view
-    /// where the protocol left the block — bounced tokens included.
+    /// where the protocol left the block — bounced tokens included. A
+    /// view probed from a random first mask must equal the full probe,
+    /// whether or not it had to widen.
     #[test]
     fn block_view_mirrors_the_token_protocol() {
+        const ITERATIONS: u64 = 20_000;
         let n = 4;
+        let all = valid_core_mask(n);
         let mut caches = vec![Cache::new(CacheGeometry::new(4096, 4), 1); n];
         let mut tp = TokenProtocol::new(n as u32);
         let block = BlockAddr::new(7);
         let tag = LineTag::Vm(VmId::new(0));
         let mut rng = SmallRng::seed_from_u64(0xB10C);
-        let (mut failures, mut bounced_owner) = (0, 0);
-        for _ in 0..20_000 {
+        let (mut failures, mut bounced_owner, mut widened) = (0, 0, 0);
+        for _ in 0..ITERATIONS {
             let r = rng.gen_range(0..n);
             let write = rng.gen_bool(0.5);
             if !write {
@@ -809,7 +845,11 @@ mod tests {
             }
             let dests = rng.gen::<u64>() & valid_core_mask(n) & !(1u64 << r);
             let memory = rng.gen_bool(0.9);
-            let mut view = BlockView::probe(&caches, &tp, r, block);
+            let mut view = BlockView::probe(&caches, &tp, r, block, all);
+            let before = WIDENED.with(Cell::get);
+            let narrowed = BlockView::probe(&caches, &tp, r, block, rng.gen::<u64>() & all);
+            widened += WIDENED.with(Cell::get) - before;
+            assert_eq!(key(&narrowed), key(&view), "narrowed probe");
             let owner_snooped = view.owner.is_some_and(|o| dests & (1u64 << o) != 0);
             let got = view.attempt(write, dests, memory);
             let want = if write {
@@ -834,7 +874,7 @@ mod tests {
             if !got.success {
                 failures += 1;
                 bounced_owner += usize::from(write && owner_snooped);
-                let after = BlockView::probe(&caches, &tp, r, block);
+                let after = BlockView::probe(&caches, &tp, r, block, all);
                 assert_eq!(key(&view), key(&after), "state after a failed attempt");
             }
         }
@@ -842,5 +882,6 @@ mod tests {
             failures > 1_000 && bounced_owner > 100,
             "{failures} / {bounced_owner}"
         );
+        assert!(widened > 0 && widened < ITERATIONS, "{widened} widened");
     }
 }

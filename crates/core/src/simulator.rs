@@ -1160,33 +1160,16 @@ impl Simulator {
 
         // L2.
         let total = self.cfg.n_cores() as u32;
-        let hit = {
-            let present = self.l2[c].access(block);
-            if present {
-                match self.l2[c].probe_mut(block) {
-                    Some(line) => {
-                        if access.write {
-                            if line.state.can_write(total) {
-                                line.state.dirty = true;
-                                true
-                            } else {
-                                false
-                            }
-                        } else {
-                            line.state.can_read()
-                        }
-                    }
-                    // A hit that vanished between lookup and probe: the
-                    // cache disagrees with itself. Diagnose and fall
-                    // through to a (correct, if slower) miss.
-                    None => {
-                        self.diagnose(SimError::CacheDesync { core: c, block });
-                        false
-                    }
+        let hit = match self.l2[c].access_mut(block) {
+            Some(line) if access.write => {
+                let writable = line.state.can_write(total);
+                if writable {
+                    line.state.dirty = true;
                 }
-            } else {
-                false
+                writable
             }
+            Some(line) => line.state.can_read(),
+            None => false,
         };
         if hit {
             self.lane.stats.l2_hits += 1;
@@ -1266,7 +1249,7 @@ impl Simulator {
         // Extra lanes replay this transaction against the block as it is
         // now, before the token operation changes it.
         if !self.extra_lanes.is_empty() {
-            self.probe_for_lanes(c, block);
+            self.probe_for_lanes(c, access.agent, sharing, block);
         }
 
         let transient_attempts: u32 = if self.faults.is_some() { 5 } else { 3 };
@@ -1424,11 +1407,23 @@ impl Simulator {
         unreachable!("the persistent attempt either succeeds or asserts");
     }
 
-    /// Records the block's pre-transaction state for the extra lanes.
+    /// Records the block's pre-transaction state for the extra lanes,
+    /// probing first the requester and the caches any extra lane's first
+    /// attempt snoops ([`BlockView::probe`]).
     #[cold]
     #[inline(never)]
-    fn probe_for_lanes(&mut self, c: usize, block: BlockAddr) {
-        self.lane_view = Some(BlockView::probe(&self.l2, self.protocol.ledger(), c, block));
+    fn probe_for_lanes(&mut self, c: usize, agent: Agent, sharing: SharingType, block: BlockAddr) {
+        let (ctx, _, extra) = self.lanes_mut();
+        let first = extra.iter().fold(1u64 << c, |mask, lane| {
+            mask | lane.destinations(&ctx, c, agent, sharing, true, block).0
+        });
+        self.lane_view = Some(BlockView::probe(
+            &self.l2,
+            self.protocol.ledger(),
+            c,
+            block,
+            first,
+        ));
     }
 
     /// Has every extra lane replay the completed transaction against the
@@ -1874,5 +1869,41 @@ mod tests {
         // strictly between the two extremes.
         assert!(s.snoops > s.l2_misses * 2);
         assert!(s.snoops < s.l2_misses * 4);
+    }
+
+    /// A 1x1 mesh has no links, so its utilization is 0, not 0/0: every
+    /// miss stalls at least for the L2 and the DRAM access, on the serial
+    /// path and in the batched engine alike.
+    #[test]
+    fn one_by_one_mesh_charges_stall() {
+        let cfg = SystemConfig {
+            mesh_width: 1,
+            mesh_height: 1,
+            n_vms: 1,
+            vcpus_per_vm: 1,
+            ..SystemConfig::small_test()
+        };
+        let stall = |workers: usize| {
+            let mut sim = Simulator::new(cfg, FilterPolicy::VsnoopBase, ContentPolicy::Broadcast);
+            sim.set_engine_workers(workers);
+            let mut wl = Workload::homogeneous(
+                profile("cholesky").unwrap(),
+                1,
+                WorkloadConfig {
+                    vcpus_per_vm: 1,
+                    ..Default::default()
+                },
+            );
+            sim.run(&mut wl, 2_000);
+            (sim.stats().l2_misses, sim.stats().stall_cycles.clone())
+        };
+        let (misses, serial) = stall(1);
+        assert!(misses > 0);
+        assert!(
+            serial[0] >= misses * (cfg.l2_latency + cfg.memory_latency),
+            "{misses} misses stalled {} cycles",
+            serial[0]
+        );
+        assert_eq!(stall(2), (misses, serial));
     }
 }

@@ -150,16 +150,13 @@ impl CacheSet {
     }
 
     /// The LRU-touching half of an `access`: bumps the set clock and
-    /// re-stamps the line on a hit. Returns whether the block was found.
-    fn touch(&mut self, block: BlockAddr) -> bool {
+    /// re-stamps the line on a hit. Returns the line when found.
+    fn touch(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
         self.clock += 1;
         let clock = self.clock;
-        if let Some(line) = self.lines.iter_mut().find(|l| l.block == block) {
-            line.last_use = clock;
-            true
-        } else {
-            false
-        }
+        let line = self.lines.iter_mut().find(|l| l.block == block)?;
+        line.last_use = clock;
+        Some(line)
     }
 
     /// Inserts `line` stamped with the set's next clock tick, applying
@@ -257,14 +254,18 @@ impl Cache {
     /// Performs a stats-counting lookup, touching LRU state on a hit.
     /// Returns `true` on hit.
     pub fn access(&mut self, block: BlockAddr) -> bool {
+        self.access_mut(block).is_some()
+    }
+
+    /// [`Cache::access`] that also returns the hit line for in-place
+    /// token updates, so a lookup followed by an update finds the line
+    /// once. The same rule as [`Cache::probe_mut`] applies to the line.
+    pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
         self.stats.accesses += 1;
         let set = self.geometry.set_of(block);
-        if self.sets[set].touch(block) {
-            self.stats.hits += 1;
-            true
-        } else {
-            false
-        }
+        let line = self.sets[set].touch(block)?;
+        self.stats.hits += 1;
+        Some(line)
     }
 
     /// Returns the line caching `block`, if present, without touching LRU
@@ -465,7 +466,7 @@ impl CacheShard<'_> {
     pub fn access(&mut self, block: BlockAddr) -> bool {
         self.delta.stats.accesses += 1;
         let set = self.set_of(block);
-        if self.sets[set].touch(block) {
+        if self.sets[set].touch(block).is_some() {
             self.delta.stats.hits += 1;
             true
         } else {
@@ -579,6 +580,25 @@ mod tests {
         assert_eq!(c.stats().accesses, 3);
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses(), 2);
+    }
+
+    #[test]
+    fn access_mut_counts_and_touches_like_access() {
+        let (mut a, mut b) = (small_cache(), small_cache());
+        for c in [&mut a, &mut b] {
+            c.insert(line(0, 0));
+            c.insert(line(2, 0));
+        }
+        assert!(a.access(BlockAddr::new(0)));
+        a.probe_mut(BlockAddr::new(0)).unwrap().state.dirty = true;
+        b.access_mut(BlockAddr::new(0)).unwrap().state.dirty = true;
+        assert!(!a.access(BlockAddr::new(1)));
+        assert!(b.access_mut(BlockAddr::new(1)).is_none());
+        assert_eq!(a.stats(), b.stats());
+        // Same LRU order: block 2 is the victim in both.
+        assert_eq!(a.insert(line(4, 0)).unwrap().block, BlockAddr::new(2));
+        assert_eq!(b.insert(line(4, 0)).unwrap().block, BlockAddr::new(2));
+        assert!(b.probe(BlockAddr::new(0)).unwrap().state.dirty);
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! `send`/`multicast` both *accounts* the traffic (byte-links, Table IV's
 //! metric) and *returns* the base latency of the transfer so the timing
 //! model can accumulate transaction latencies.
+//!
+//! Every message needs a hop count, and [`Mesh::hops`] derives it from
+//! node coordinates with a divide and a remainder by the runtime mesh
+//! width. A network therefore tabulates, once at construction, the hop
+//! count of every node pair and the nearest memory port of every node
+//! from [`Mesh::hops`] and [`Mesh::nearest_port`], which stay the
+//! definitions; clones share the tables.
+
+use std::sync::Arc;
 
 use crate::fault::{Delivery, LinkFaults};
 use crate::latency::LatencyModel;
@@ -26,6 +35,11 @@ pub struct SendOutcome {
 
 /// An on-chip mesh network with memory-controller ports.
 ///
+/// Hop counts and nearest ports come from tables built at construction
+/// (see the module docs and [`Network::hops`]). The hop table has one
+/// entry per node pair: 1 KiB for the paper's 4x4 mesh, 16 KiB at 64
+/// nodes, so it is sized for on-chip meshes.
+///
 /// # Examples
 ///
 /// ```
@@ -41,6 +55,10 @@ pub struct Network {
     mesh: Mesh,
     latency: LatencyModel,
     ports: Vec<NodeId>,
+    /// `hop_table[a * n + b]` is `mesh.hops(a, b)` for an `n`-node mesh.
+    hop_table: Arc<[u32]>,
+    /// `port_table[a]` is `mesh.nearest_port(a, &ports)`.
+    port_table: Arc<[NodeId]>,
     traffic: TrafficStats,
     faults: Option<LinkFaults>,
     /// Optional per-node byte attribution (source + destination each
@@ -54,10 +72,23 @@ impl Network {
     /// Creates a network over `mesh` with the default latency model and
     /// memory ports at the mesh corners.
     pub fn new(mesh: Mesh) -> Self {
+        Self::build(mesh, LatencyModel::default(), mesh.corner_ports())
+    }
+
+    /// Assembles a network over a validated, non-empty port list,
+    /// tabulating hops and nearest ports.
+    fn build(mesh: Mesh, latency: LatencyModel, ports: Vec<NodeId>) -> Self {
+        let hop_table = mesh
+            .nodes()
+            .flat_map(|a| mesh.nodes().map(move |b| mesh.hops(a, b)))
+            .collect();
+        let port_table = mesh.nodes().map(|a| mesh.nearest_port(a, &ports)).collect();
         Network {
             mesh,
-            latency: LatencyModel::default(),
-            ports: mesh.corner_ports(),
+            latency,
+            ports,
+            hop_table,
+            port_table,
             traffic: TrafficStats::default(),
             faults: None,
             node_tally: None,
@@ -103,14 +134,7 @@ impl Network {
                 height: mesh.height(),
             });
         }
-        Ok(Network {
-            mesh,
-            latency,
-            ports,
-            traffic: TrafficStats::default(),
-            faults: None,
-            node_tally: None,
-        })
+        Ok(Self::build(mesh, latency, ports))
     }
 
     /// Enables the per-node byte tally (idempotent). Every subsequent
@@ -156,6 +180,31 @@ impl Network {
         &self.ports
     }
 
+    /// Links a message from `a` to `b` crosses: [`Mesh::hops`], read from
+    /// the network's table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is outside the mesh.
+    #[inline]
+    pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
+        // One port entry per node. Slicing the row bounds-checks `b`
+        // against the node count, so no pair aliases another.
+        let n = self.port_table.len();
+        self.hop_table[a.index() * n..][..n][b.index()]
+    }
+
+    /// The memory port nearest `node`: [`Mesh::nearest_port`] over
+    /// [`Network::memory_ports`], read from the network's table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the mesh.
+    #[inline]
+    pub fn nearest_port(&self, node: NodeId) -> NodeId {
+        self.port_table[node.index()]
+    }
+
     /// Returns accumulated traffic statistics.
     pub fn traffic(&self) -> &TrafficStats {
         &self.traffic
@@ -180,7 +229,7 @@ impl Network {
 
     /// Sends one message; returns its base latency in cycles.
     pub fn unicast(&mut self, src: NodeId, dst: NodeId, kind: MessageKind) -> u64 {
-        let hops = self.mesh.hops(src, dst);
+        let hops = self.hops(src, dst);
         self.traffic.record(kind, hops);
         if let Some(t) = &mut self.node_tally {
             let bytes = u64::from(kind.bytes());
@@ -208,8 +257,11 @@ impl Network {
         let mut total_hops = 0u64;
         let mut messages = 0u64;
         let mut worst_hops = 0u32;
+        // Borrows only the table, so the tally below stays writable.
+        let n = self.port_table.len();
+        let row = &self.hop_table[src.index() * n..][..n];
         for d in dests {
-            let hops = self.mesh.hops(src, d);
+            let hops = row[d.index()];
             total_hops += u64::from(hops);
             messages += 1;
             worst_hops = worst_hops.max(hops);
@@ -254,7 +306,7 @@ impl Network {
     /// Fault-aware variant of [`Network::to_memory`]: sends toward the
     /// nearest memory controller, subject to installed link faults.
     pub fn send_to_memory(&mut self, src: NodeId, kind: MessageKind) -> SendOutcome {
-        let port = self.mesh.nearest_port(src, &self.ports);
+        let port = self.nearest_port(src);
         self.send(src, port, kind)
     }
 
@@ -262,13 +314,13 @@ impl Network {
     /// returns the base latency (network part only; the caller adds DRAM
     /// access time).
     pub fn to_memory(&mut self, src: NodeId, kind: MessageKind) -> u64 {
-        let port = self.mesh.nearest_port(src, &self.ports);
+        let port = self.nearest_port(src);
         self.unicast(src, port, kind)
     }
 
     /// Sends a message from the memory controller nearest `dst` to `dst`.
     pub fn from_memory(&mut self, dst: NodeId, kind: MessageKind) -> u64 {
-        let port = self.mesh.nearest_port(dst, &self.ports);
+        let port = self.nearest_port(dst);
         self.unicast(port, dst, kind)
     }
 }
@@ -306,6 +358,36 @@ mod tests {
     #[should_panic(expected = "no memory ports")]
     fn portless_panicking_constructor_names_the_problem() {
         let _ = Network::with_config(Mesh::new(2, 2), LatencyModel::default(), vec![]);
+    }
+
+    /// The tables are exactly their definitions, for every node pair, on
+    /// degenerate, non-square and large meshes, with corner ports and
+    /// with an arbitrary port list.
+    #[test]
+    fn tables_equal_mesh_hops_and_nearest_ports() {
+        let check = |net: &Network| {
+            let mesh = *net.mesh();
+            for a in mesh.nodes() {
+                assert_eq!(
+                    net.nearest_port(a),
+                    mesh.nearest_port(a, net.memory_ports())
+                );
+                for b in mesh.nodes() {
+                    assert_eq!(net.hops(a, b), mesh.hops(a, b), "{a} -> {b}");
+                }
+            }
+        };
+        for (w, h) in [(1, 1), (1, 5), (3, 2), (4, 4), (8, 8)] {
+            check(&Network::new(Mesh::new(w, h)));
+        }
+        let mesh = Mesh::new(5, 3);
+        let ports = vec![NodeId::new(7), NodeId::new(2), NodeId::new(13)];
+        let net = Network::try_with_config(mesh, LatencyModel::default(), ports).unwrap();
+        check(&net);
+        // Ties break toward the lower node index: node 12 = (2,2) is one
+        // hop from both 7 = (2,1) and 13 = (3,2).
+        assert_eq!(net.nearest_port(NodeId::new(12)), NodeId::new(7));
+        assert_eq!(net.nearest_port(NodeId::new(0)), NodeId::new(2));
     }
 
     #[test]

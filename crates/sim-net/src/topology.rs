@@ -190,6 +190,13 @@ impl Mesh {
         (ax.abs_diff(bx) + ay.abs_diff(by)) as u32
     }
 
+    /// Number of directed links: two per pair of adjacent routers, so
+    /// zero for a 1x1 mesh.
+    pub fn links(&self) -> usize {
+        let (w, h) = (self.width, self.height);
+        2 * ((w - 1) * h + w * (h - 1))
+    }
+
     /// Sum of hop counts from `src` to each destination (multicasts are
     /// modelled as repeated unicasts, as in the GEMS/Garnet baseline).
     pub fn sum_hops(&self, src: NodeId, dests: impl IntoIterator<Item = NodeId>) -> u64 {
@@ -313,6 +320,14 @@ mod tests {
         let m = Mesh::new(8, 1);
         assert_eq!(m.hops(NodeId::new(0), NodeId::new(7)), 7);
         assert_eq!(m.corner_ports().len(), 2);
+    }
+
+    #[test]
+    fn directed_links() {
+        assert_eq!(Mesh::new(4, 4).links(), 48);
+        assert_eq!(Mesh::new(3, 2).links(), 14);
+        assert_eq!(Mesh::new(1, 5).links(), 8);
+        assert_eq!(Mesh::new(1, 1).links(), 0);
     }
 
     #[test]

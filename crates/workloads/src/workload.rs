@@ -97,6 +97,12 @@ struct VmPools {
 /// This is what the simulator's warm-state snapshot layer
 /// (`Simulator::snapshot` in the `vsnoop` crate) forks instead of
 /// regenerating the warm-up prefix.
+///
+/// Each vCPU's reuse burst lives in a dense slot at
+/// `vm * vcpus_per_vm + vcpu`, so drawing an access hashes nothing.
+/// [`AccessStream::next_access`] panics for a vCPU outside the
+/// configured VMs and vCPUs per VM instead of sharing another vCPU's
+/// slot.
 #[derive(Clone)]
 pub struct Workload {
     profiles: Vec<&'static AppProfile>,
@@ -109,10 +115,20 @@ pub struct Workload {
     dom0_pool: PageRange,
     hyp_cursor: u64,
     dom0_cursor: u64,
-    /// Per-vCPU in-flight reuse burst: the address being re-touched, the
-    /// store probability of its class, and how many repeats remain.
-    bursts: std::collections::HashMap<VcpuId, (u64, f64, u64)>,
+    /// One reuse-burst slot per vCPU, at `vm * vcpus_per_vm + vcpu`
+    /// ([`Workload::burst_slot`]). A slot with no repeats left (the
+    /// zeroed initial state included) has no burst in flight.
+    bursts: Vec<Burst>,
     rng: SmallRng,
+}
+
+/// A vCPU's in-flight reuse burst: the address being re-touched, the
+/// store probability of its class, and how many repeats remain.
+#[derive(Clone, Copy, Default)]
+struct Burst {
+    addr: u64,
+    write_frac: f64,
+    left: u64,
 }
 
 impl std::fmt::Debug for Workload {
@@ -145,7 +161,8 @@ impl Workload {
         let mut mem = MemoryMap::new();
         let mut dir = SharingDirectory::new();
         let mut content = ContentSharer::new();
-        let mut pools = Vec::with_capacity(profiles.len());
+        let n_vms = profiles.len();
+        let mut pools = Vec::with_capacity(n_vms);
 
         for (i, p) in profiles.iter().enumerate() {
             let vm = VmId::new(i as u16);
@@ -201,7 +218,7 @@ impl Workload {
             dom0_pool,
             hyp_cursor: 0,
             dom0_cursor: 0,
-            bursts: std::collections::HashMap::new(),
+            bursts: vec![Burst::default(); n_vms * usize::from(cfg.vcpus_per_vm)],
             rng: SmallRng::seed_from_u64(cfg.seed),
         }
     }
@@ -258,6 +275,22 @@ impl Workload {
         self.mem.allocated_pages()
     }
 
+    /// The burst slot of `vcpu`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vcpu` is outside the configured VMs or vCPUs per VM,
+    /// rather than aliasing another vCPU's slot.
+    fn burst_slot(&self, vcpu: VcpuId) -> usize {
+        let per_vm = usize::from(self.cfg.vcpus_per_vm);
+        assert!(
+            vcpu.vm().index() < self.profiles.len() && vcpu.index() < per_vm,
+            "{vcpu} outside a workload of {} VMs x {per_vm} vCPUs",
+            self.profiles.len()
+        );
+        vcpu.vm().index() * per_vm + vcpu.index()
+    }
+
     fn host_access(&mut self, pool: PageRange, cursor: &mut u64, agent: Agent) -> TraceAccess {
         // Stream sequentially through the pool, block by block: cold misses.
         let blocks = pool.len() * BLOCKS_PER_PAGE;
@@ -276,20 +309,21 @@ impl Workload {
 impl AccessStream for Workload {
     fn next_access(&mut self, vcpu: VcpuId) -> TraceAccess {
         let vm = vcpu.vm();
+        let slot = self.burst_slot(vcpu);
         let p = self.profiles[vm.index()].trace;
 
         // Temporal locality: finish the in-flight burst before drawing a
         // fresh block. Repeats re-roll the store flag so bursts exercise
         // both load and store paths.
-        if let Some(&(addr, wf, left)) = self.bursts.get(&vcpu) {
-            if left > 0 {
-                self.bursts.insert(vcpu, (addr, wf, left - 1));
-                return TraceAccess {
-                    agent: Agent::Guest(vcpu),
-                    addr,
-                    write: self.rng.gen::<f64>() < wf,
-                };
-            }
+        let burst = &mut self.bursts[slot];
+        if burst.left > 0 {
+            burst.left -= 1;
+            let (addr, write_frac) = (burst.addr, burst.write_frac);
+            return TraceAccess {
+                agent: Agent::Guest(vcpu),
+                addr,
+                write: self.rng.gen::<f64>() < write_frac,
+            };
         }
 
         if self.cfg.host_activity {
@@ -357,8 +391,11 @@ impl AccessStream for Workload {
         let block = self.rng.gen_range(0..BLOCKS_PER_PAGE);
         let addr = page * PAGE_BYTES + block * BLOCK_BYTES;
         if p.reuse_burst > 1 {
-            self.bursts
-                .insert(vcpu, (addr, class_wf, p.reuse_burst - 1));
+            self.bursts[slot] = Burst {
+                addr,
+                write_frac: class_wf,
+                left: p.reuse_burst - 1,
+            };
         }
         TraceAccess {
             agent: Agent::Guest(vcpu),
@@ -530,6 +567,17 @@ mod tests {
             (got - expect).abs() < expect * 0.3,
             "host slot rate off: got {got}, expected ~{expect}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "VM0.v2 outside a workload of 2 VMs x 2 vCPUs")]
+    fn out_of_range_vcpu_is_refused() {
+        let cfg = WorkloadConfig {
+            vcpus_per_vm: 2,
+            ..Default::default()
+        };
+        let mut wl = Workload::homogeneous(profile("fft").unwrap(), 2, cfg);
+        let _ = wl.next_access(vcpu(0, 2));
     }
 
     #[test]
