@@ -2,9 +2,10 @@
 //! seeded job with panic isolation, per-job deadlines, retries,
 //! checkpoint/resume, and crash reproducers.
 //!
-//! Fault-free, stdout is byte-identical to running the fifteen figure/
-//! table binaries serially in paper order (the historical `all`
-//! behaviour); progress and the degraded-mode summary go to stderr.
+//! This is the one entry point for the paper's fifteen artifacts.
+//! Fault-free, stdout is their reports concatenated in paper order
+//! (`--only NAME` narrows it to the named ones, `--list` prints the
+//! names); progress and the degraded-mode summary go to stderr.
 //!
 //! ```text
 //! all [--jobs N] [--workers N] [--timeout SECS] [--retries N] [--dir DIR]

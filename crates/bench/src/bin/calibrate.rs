@@ -8,7 +8,7 @@
 //! VSNOOP_SCALE=quick cargo run --release -p vsnoop-bench --bin calibrate
 //! ```
 
-use vsnoop::experiments::{run_pinned, RunScale};
+use vsnoop::experiments::run_pinned;
 use vsnoop::{ContentPolicy, FilterPolicy, SystemConfig};
 use vsnoop_bench::{f1, heading, opt, scale_from_env, TextTable};
 use workloads::simulation_apps;
@@ -53,10 +53,4 @@ fn main() {
         ]);
     }
     println!("{t}");
-
-    let rs = RunScale {
-        measure_rounds: scale.measure_rounds,
-        ..scale
-    };
-    let _ = rs;
 }

@@ -77,9 +77,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let dir = cli
-        .dir
-        .or_else(|| std::env::var("VSNOOP_TRACE").ok().map(PathBuf::from));
+    let dir = cli.dir.or_else(vsnoop::knob::trace_dir);
     let Some(dir) = dir else {
         eprintln!("obs_tail: no trace directory (pass --trace-dir or set VSNOOP_TRACE)");
         return ExitCode::from(2);

@@ -16,10 +16,10 @@
 //!   vsnoop-base ~25% of baseline snoops (Table IV's ~75% filtering) and
 //!   the counter scheme ~45% under 0.1 ms migrations (Fig. 8).
 //!
-//! Environment knobs: `SOAK_ROUNDS` (storm rounds, default 80 000 — one
-//! round is 16 access steps on the paper machine), `SOAK_SEED`,
-//! `SOAK_PERIOD_MS` (migration period in scaled ms x100, i.e. `10` =
-//! 0.1 ms), `SOAK_SHAPE_ROUNDS` (fault-free measurement rounds).
+//! Environment knobs (read through `vsnoop::knob`): `SOAK_ROUNDS`
+//! (storm rounds, default 80 000 — one round is 16 access steps on the
+//! paper machine) and `SOAK_SEED` (default `0x50AC`). The storm migrates
+//! every 0.1 ms and the shape checks measure [`SHAPE_ROUNDS`] rounds.
 //!
 //! With tracing on (`--trace-dir DIR` or `VSNOOP_TRACE=DIR`, see
 //! OBSERVABILITY.md) the storm phase also exports per-epoch time-series
@@ -36,12 +36,12 @@ use vsnoop::{CheckerConfig, ContentPolicy, FaultPlan, FilterPolicy, Simulator, S
 use vsnoop_bench::{f1, heading_string};
 use workloads::{try_profile, Workload, WorkloadConfig};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Migration period of the storm, in scaled ms x100 (10 = 0.1 ms).
+const PERIOD_MS_X100: u64 = 10;
+/// Fault-free measurement rounds of the shape checks.
+const SHAPE_ROUNDS: u64 = 350_000;
+/// Rounds per epoch of the storm's time-series when tracing is on.
+const EPOCH_EVERY: u64 = 64;
 
 fn storm_workload(cfg: &SystemConfig, seed: u64) -> Result<Workload, String> {
     Ok(Workload::homogeneous(
@@ -69,7 +69,7 @@ fn storm(rounds: u64, seed: u64, period_cycles: u64) -> Result<String, String> {
     sim.set_fault_plan(FaultPlan::all(seed));
     sim.enable_checker(CheckerConfig::default());
     if vsnoop::obs::enabled() {
-        sim.enable_epochs(env_u64("VSNOOP_EPOCH_EVERY", 64));
+        sim.enable_epochs(EPOCH_EVERY);
     }
     let mut wl = storm_workload(&cfg, seed ^ 0xD15EA5E)?;
     sim.run_with_migration(
@@ -283,7 +283,7 @@ fn forced_violation() -> ExitCode {
             }
         };
         sim.enable_checker(CheckerConfig::default());
-        let mut wl = match storm_workload(&cfg, env_u64("SOAK_SEED", 0x50AC)) {
+        let mut wl = match storm_workload(&cfg, vsnoop::knob::soak_seed()) {
             Ok(w) => w,
             Err(e) => {
                 eprintln!("soak: {e}");
@@ -314,19 +314,17 @@ fn forced_violation() -> ExitCode {
 
 fn main() -> ExitCode {
     vsnoop_bench::init_obs();
-    if std::env::var("SOAK_FORCE_VIOLATION").as_deref() == Ok("1") {
+    if vsnoop::knob::soak_force_violation() {
         return forced_violation();
     }
-    let rounds = env_u64("SOAK_ROUNDS", 80_000);
-    let seed = env_u64("SOAK_SEED", 0x50AC);
-    let period_ms_x100 = env_u64("SOAK_PERIOD_MS", 10); // 10 = 0.1 ms
-    let shape_rounds = env_u64("SOAK_SHAPE_ROUNDS", 350_000);
+    let rounds = vsnoop::knob::soak_rounds();
+    let seed = vsnoop::knob::soak_seed();
     let cfg = SystemConfig::paper_default();
-    let period_cycles = (cfg.cycles_per_ms * period_ms_x100 / 100).max(1);
+    let period_cycles = (cfg.cycles_per_ms * PERIOD_MS_X100 / 100).max(1);
 
     let params = Value::obj([
         ("rounds", Value::UInt(rounds)),
-        ("shape_rounds", Value::UInt(shape_rounds)),
+        ("shape_rounds", Value::UInt(SHAPE_ROUNDS)),
         ("period_cycles", Value::UInt(period_cycles)),
     ]);
     let jobs = vec![
@@ -335,9 +333,9 @@ fn main() -> ExitCode {
         })
         .with_step_window(0, rounds),
         Job::new("shapes", seed, params, move |_ctx| {
-            shapes(shape_rounds, seed)
+            shapes(SHAPE_ROUNDS, seed)
         })
-        .with_step_window(0, shape_rounds),
+        .with_step_window(0, SHAPE_ROUNDS),
     ];
     let dir = std::path::PathBuf::from("target/campaign/soak");
     let runner_cfg = RunnerConfig {

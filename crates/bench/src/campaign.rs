@@ -1,9 +1,10 @@
 //! The experiment campaign: every paper artifact as a supervised job.
 //!
-//! Job order is the paper's presentation order (what the old serial
-//! `all` binary ran); the merged campaign output concatenates the jobs'
-//! canonical report text in this order, so a fault-free supervised run
-//! is byte-identical to the historical serial run.
+//! `ARTIFACTS` is the one registry of paper artifacts. Job order is
+//! the paper's presentation order; the merged campaign output
+//! concatenates the jobs' canonical report text in this order, so a
+//! fault-free supervised run is byte-identical at any worker count, and
+//! `all --only <name>` prints exactly `reports::<name>`.
 //!
 //! The `inject_*` options exist for the campaign's own robustness
 //! smoke tests (and `scripts/verify.sh`): they wrap the named jobs with

@@ -1,10 +1,10 @@
 //! Report formatting shared by the experiment binaries.
 //!
-//! Every binary in this crate regenerates one table or figure of the
-//! paper and prints it as an aligned text table with paper-reported values
-//! side by side where available. The text itself is produced by the
-//! [`reports`] module; [`campaign`] wraps those reports as supervised
-//! jobs for the `all` campaign runner.
+//! Every paper table and figure is rendered as an aligned text table
+//! with paper-reported values side by side where available. The text
+//! itself is produced by the [`reports`] module; [`campaign`] wraps
+//! those reports as supervised jobs for the `all` binary, the one entry
+//! point that prints them (`all --only <name>` for a single artifact).
 
 pub mod campaign;
 pub mod reports;
@@ -57,8 +57,8 @@ impl TextTable {
     }
 
     /// Renders the table as CSV (RFC-4180-style quoting), for plotting
-    /// pipelines. Set `VSNOOP_CSV=<dir>` when running an experiment binary
-    /// to also dump its tables there.
+    /// pipelines. Set `VSNOOP_CSV=<dir>` when running `all` (or an
+    /// ablation binary) to also dump its tables there.
     pub fn to_csv(&self) -> String {
         fn cell(s: &str) -> String {
             if s.contains([',', '"', '\n']) {
@@ -77,15 +77,15 @@ impl TextTable {
     }
 
     /// Writes the CSV rendering to `<dir>/<name>.csv` if the `VSNOOP_CSV`
-    /// environment variable names a directory.
+    /// environment variable names a directory (see `vsnoop::knob`).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn maybe_dump_csv(&self, name: &str) -> std::io::Result<()> {
-        if let Ok(dir) = std::env::var("VSNOOP_CSV") {
+        if let Some(dir) = vsnoop::knob::csv_dir() {
             std::fs::create_dir_all(&dir)?;
-            std::fs::write(format!("{dir}/{name}.csv"), self.to_csv())?;
+            std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())?;
         }
         Ok(())
     }
@@ -149,7 +149,7 @@ pub fn heading(title: &str, context: &str) {
 }
 
 /// The banner heading as a string — exactly the bytes [`heading`]
-/// prints, so report text built from it matches binary stdout.
+/// prints.
 pub fn heading_string(title: &str, context: &str) -> String {
     format!("\n=== {title} ===\n{context}\n\n")
 }
@@ -158,9 +158,10 @@ pub fn heading_string(title: &str, context: &str) -> String {
 /// runs, anything else or unset for the full scale used in
 /// EXPERIMENTS.md).
 pub fn scale_from_env() -> vsnoop::experiments::RunScale {
-    match std::env::var("VSNOOP_SCALE").as_deref() {
-        Ok("quick") => vsnoop::experiments::RunScale::quick(),
-        _ => vsnoop::experiments::RunScale::full(),
+    if vsnoop::knob::quick_scale() {
+        vsnoop::experiments::RunScale::quick()
+    } else {
+        vsnoop::experiments::RunScale::full()
     }
 }
 

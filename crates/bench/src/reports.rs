@@ -1,11 +1,10 @@
 //! Canonical report text for every paper artifact.
 //!
-//! Each function renders one figure/table of the paper to a `String`
-//! that is byte-for-byte what the corresponding standalone binary prints
-//! to stdout. The binaries are thin wrappers over these functions, and
-//! the campaign runner journals the same strings — which is what makes a
-//! resumed campaign's merged output bit-identical to an uninterrupted
-//! run.
+//! Each function renders one figure/table of the paper to a `String`:
+//! byte-for-byte what `all --only <name>` prints to stdout. The
+//! campaign runner journals these strings and concatenates them —
+//! which is what makes a resumed campaign's merged output bit-identical
+//! to an uninterrupted run.
 //!
 //! Errors are reported as `Err(String)` (missing sweep points, CSV dump
 //! failures, unknown profiles) so the supervisor can journal them as

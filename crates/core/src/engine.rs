@@ -274,8 +274,8 @@ pub(super) fn run_batched<W: SystemWorkload>(
         let mut migration_no = 0u64;
         let mut plan = new_plan(&lane.maps, friends);
 
-        // Engine-phase metrics are explicitly gated (VSNOOP_METRICS /
-        // `metrics::set_enabled`): with the gate off this path takes no
+        // Engine-phase metrics are explicitly gated (`metrics::set_enabled`
+        // or tracing): with the gate off this path takes no
         // clock readings at all, preserving the zero-cost contract.
         let metrics_on = metrics::enabled();
         let mut batch_start = metrics_on.then(Instant::now);

@@ -37,11 +37,11 @@
 //! so reuse is purely a wall-clock optimization and is always on.
 //!
 //! The pool holds full machine snapshots (megabytes each), so it is
-//! bounded by an LRU cap (`VSNOOP_WARM_CAP`, default
-//! [`DEFAULT_WARM_CAP`]); the memos hold only extracted counters and rows
-//! and are unbounded. Concurrent shards warming the same key block on a
-//! per-key [`OnceLock`], so a warm-up is computed exactly once even
-//! under [`crate::runner::scatter`].
+//! bounded by an LRU cap of [`DEFAULT_WARM_CAP`] snapshots; the memos
+//! hold only extracted counters and rows and are unbounded. Concurrent
+//! shards warming the same key block on a per-key [`OnceLock`], so a
+//! warm-up is computed exactly once even under
+//! [`crate::runner::scatter`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +57,7 @@ use crate::policy::{ContentPolicy, FilterPolicy};
 use crate::simulator::{SimSnapshot, Simulator};
 use crate::stats::{RemovalEvent, SimStats};
 
-/// Default LRU capacity of the warm pool, in snapshots. Sized to keep
+/// LRU capacity of the warm pool, in snapshots. Sized to keep
 /// one phase of the campaign fully resident (ten simulation apps or
 /// nine content apps, plus headroom) without letting full-scale
 /// snapshots (several MB each) accumulate without bound.
@@ -179,7 +179,7 @@ impl CellResult {
 /// is a [`warmed_pair`] call served from a pooled snapshot (including
 /// threads that blocked while another warmer initialized the slot); a
 /// *miss* is a call that had to compute the warm-up; an *eviction* is
-/// an LRU drop under `VSNOOP_WARM_CAP`. A zero-round warm-up touches
+/// an LRU drop under [`DEFAULT_WARM_CAP`]. A zero-round warm-up touches
 /// none of them — it never consults the pool.
 static WARM_HITS: AtomicU64 = AtomicU64::new(0);
 static WARM_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -191,7 +191,7 @@ static CELL_SIMULATIONS: AtomicU64 = AtomicU64::new(0);
 static SCHEDULER_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Current warm-pool `(hits, misses, evictions)` counters. Surfaced in
-/// telemetry heartbeats and epoch snapshots so `VSNOOP_WARM_CAP`
+/// telemetry heartbeats and epoch snapshots so the LRU cap's
 /// effectiveness is visible.
 pub fn warm_counters() -> (u64, u64, u64) {
     (
@@ -274,10 +274,6 @@ pub fn warm_tenant_counters() -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-fn warm_cap() -> usize {
-    crate::knob::env_positive_usize("VSNOOP_WARM_CAP").unwrap_or(DEFAULT_WARM_CAP)
-}
-
 /// Per-key slot: the `OnceLock` makes concurrent warmers of one key
 /// block until the first finishes, instead of warming twice.
 type WarmSlot = Arc<OnceLock<Arc<SimSnapshot>>>;
@@ -296,8 +292,7 @@ impl WarmPool {
         self.order.retain(|k| k != key);
         self.order.push(key.clone());
         let slot = self.slots.entry(key.clone()).or_default().clone();
-        let cap = warm_cap();
-        while self.order.len() > cap {
+        while self.order.len() > DEFAULT_WARM_CAP {
             let evicted = self.order.remove(0);
             self.slots.remove(&evicted);
             WARM_EVICTIONS.fetch_add(1, Ordering::Relaxed);

@@ -1,72 +1,93 @@
-//! Shared parsing for `VSNOOP_*` environment knobs.
+//! The environment knobs, all read here.
 //!
-//! Every runtime tunable read from the environment (`VSNOOP_SHARD_WORKERS`,
-//! `VSNOOP_FLIGHT_CAP`, `VSNOOP_WARM_CAP`, `VSNOOP_ENGINE_WORKERS`) is a
-//! positive integer. These used to be parsed ad hoc with `.parse().ok()`,
-//! which silently fell back to the default on a malformed value — setting
-//! `VSNOOP_SHARD_WORKERS=abc` (or `=0`) looked accepted but did nothing.
-//! [`env_positive_usize`] keeps the fall-back-to-default behaviour (a bad
-//! knob must never abort a long campaign) but warns **once per knob** on
-//! stderr so the operator learns the value was ignored.
+//! Every `VSNOOP_*` and `SOAK_*` environment variable the workspace
+//! reads is read here, one function per knob. [`NAMES`] lists them and
+//! OBSERVABILITY.md's "Environment variables" table documents them; a
+//! root test keeps the three in step and fails on a knob name spelled
+//! anywhere else. A tunable that nothing sets is a constant next to the
+//! code that uses it, not a knob.
 //!
-//! Worker-count knobs (`VSNOOP_ENGINE_WORKERS`) additionally accept the
-//! literal `auto`, resolving to the host's available parallelism via
-//! [`env_worker_count`].
+//! Numeric knobs fall back to their default on a malformed value (a
+//! bad knob must never abort a long campaign) but warn **once per
+//! knob** on stderr, so `SOAK_ROUNDS=2k` is reported instead of
+//! silently running the default storm.
 
 use std::collections::HashSet;
+use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
+use std::time::Duration;
 
-/// Reads the environment knob `name` as a positive integer.
-///
-/// Returns `None` when the variable is unset, *or* when it is set to a
-/// malformed value (non-integer, zero, or out of range) — in which case a
-/// one-line warning naming the knob and the rejected value is printed to
-/// stderr, once per knob per process. Callers treat `None` as "use the
-/// default", exactly as before.
-pub fn env_positive_usize(name: &str) -> Option<usize> {
-    parse_positive(name, &std::env::var(name).ok()?)
+const SCALE: &str = "VSNOOP_SCALE";
+const TRACE: &str = "VSNOOP_TRACE";
+const HEARTBEAT_MS: &str = "VSNOOP_HEARTBEAT_MS";
+const ENGINE_WORKERS: &str = "VSNOOP_ENGINE_WORKERS";
+const CSV: &str = "VSNOOP_CSV";
+const SOAK_ROUNDS: &str = "SOAK_ROUNDS";
+const SOAK_SEED: &str = "SOAK_SEED";
+const SOAK_FORCE_VIOLATION: &str = "SOAK_FORCE_VIOLATION";
+
+/// Every knob name, in the order OBSERVABILITY.md documents them.
+pub const NAMES: [&str; 8] = [
+    SCALE,
+    TRACE,
+    HEARTBEAT_MS,
+    ENGINE_WORKERS,
+    CSV,
+    SOAK_ROUNDS,
+    SOAK_SEED,
+    SOAK_FORCE_VIOLATION,
+];
+
+/// `VSNOOP_SCALE=quick`: run experiments at the quick smoke scale
+/// instead of the full scale EXPERIMENTS.md reports.
+pub fn quick_scale() -> bool {
+    std::env::var(SCALE).as_deref() == Ok("quick")
 }
 
-/// The parsing half of [`env_positive_usize`], split out so unit tests
-/// can exercise malformed values without mutating the process
-/// environment. `raw` is the knob's value; `name` is used only in the
-/// warning.
-pub fn parse_positive(name: &str, raw: &str) -> Option<usize> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        Ok(_) => {
-            warn_malformed(name, raw, "must be a positive integer (>= 1)");
-            None
-        }
-        Err(_) => {
-            warn_malformed(name, raw, "is not an unsigned integer");
-            None
-        }
-    }
+/// `VSNOOP_TRACE`: the trace directory that turns observability on
+/// (unset or blank: off).
+pub fn trace_dir() -> Option<PathBuf> {
+    env_dir(TRACE)
 }
 
-/// [`env_positive_usize`] for `u64`-valued knobs (millisecond periods
-/// like `VSNOOP_HEARTBEAT_MS`): same warn-once fall-back-to-default
-/// semantics, without the platform-width cap.
-pub fn env_positive_u64(name: &str) -> Option<u64> {
-    parse_positive_u64(name, &std::env::var(name).ok()?)
+/// `VSNOOP_HEARTBEAT_MS`: the telemetry heartbeat period of campaigns
+/// and the service, default 1000 ms.
+pub fn heartbeat() -> Duration {
+    Duration::from_millis(env_positive_u64(HEARTBEAT_MS).unwrap_or(1000))
 }
 
-/// The parsing half of [`env_positive_u64`], split out so unit tests
-/// can exercise malformed values without mutating the process
-/// environment.
-pub fn parse_positive_u64(name: &str, raw: &str) -> Option<u64> {
-    match raw.trim().parse::<u64>() {
-        Ok(n) if n > 0 => Some(n),
-        Ok(_) => {
-            warn_malformed(name, raw, "must be a positive integer (>= 1)");
-            None
-        }
-        Err(_) => {
-            warn_malformed(name, raw, "is not an unsigned integer");
-            None
-        }
-    }
+/// `VSNOOP_ENGINE_WORKERS`: the batched engine's worker count, a
+/// positive integer or `auto` for the host's available parallelism
+/// (unset: `None`, the simulator's serial default).
+pub fn engine_workers() -> Option<usize> {
+    parse_worker_count(ENGINE_WORKERS, &std::env::var(ENGINE_WORKERS).ok()?)
+}
+
+/// `VSNOOP_CSV`: a directory the experiment tables are also dumped
+/// into as CSV (unset or blank: no dump).
+pub fn csv_dir() -> Option<PathBuf> {
+    env_dir(CSV)
+}
+
+/// `SOAK_ROUNDS`: storm rounds of the soak, default 80 000 (one round
+/// is 16 access steps on the paper machine).
+pub fn soak_rounds() -> u64 {
+    env_positive_u64(SOAK_ROUNDS).unwrap_or(80_000)
+}
+
+/// `SOAK_SEED`: the soak's seed, default `0x50AC`. Zero is a valid
+/// seed.
+pub fn soak_seed() -> u64 {
+    std::env::var(SOAK_SEED)
+        .ok()
+        .and_then(|raw| parse_u64(SOAK_SEED, &raw))
+        .unwrap_or(0x50AC)
+}
+
+/// `SOAK_FORCE_VIOLATION=1`: the soak runs its checker self-test
+/// instead of the storm.
+pub fn soak_force_violation() -> bool {
+    std::env::var(SOAK_FORCE_VIOLATION).as_deref() == Ok("1")
 }
 
 /// The worker count "auto" resolves to: the host's available
@@ -76,21 +97,46 @@ pub fn auto_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Reads the environment knob `name` as a worker count: the literal
-/// `auto` (case-insensitive) resolves to [`auto_workers`], anything
-/// else parses as a positive integer via [`env_positive_usize`]
-/// semantics (malformed values warn once and fall back to `None`).
-pub fn env_worker_count(name: &str) -> Option<usize> {
-    parse_worker_count(name, &std::env::var(name).ok()?)
+/// A directory-valued knob, trimmed; blank counts as unset.
+fn env_dir(name: &str) -> Option<PathBuf> {
+    let raw = std::env::var(name).ok()?;
+    let dir = raw.trim();
+    (!dir.is_empty()).then(|| PathBuf::from(dir))
 }
 
-/// The parsing half of [`env_worker_count`], split out so unit tests
-/// can exercise values without mutating the process environment.
-pub fn parse_worker_count(name: &str, raw: &str) -> Option<usize> {
+fn env_positive_u64(name: &str) -> Option<u64> {
+    parse_positive_u64(name, &std::env::var(name).ok()?)
+}
+
+/// Parses `raw` as a positive integer; `None` (after the warn-once
+/// warning) on a malformed value. `name` is used only in the warning.
+fn parse_positive_u64(name: &str, raw: &str) -> Option<u64> {
+    match parse_u64(name, raw) {
+        Some(0) => {
+            warn_malformed(name, raw, "must be a positive integer (>= 1)");
+            None
+        }
+        n => n,
+    }
+}
+
+/// Parses `raw` as an unsigned integer, zero included; `None` (after
+/// the warn-once warning) on a malformed value.
+fn parse_u64(name: &str, raw: &str) -> Option<u64> {
+    let n = raw.trim().parse::<u64>().ok();
+    if n.is_none() {
+        warn_malformed(name, raw, "is not an unsigned integer");
+    }
+    n
+}
+
+/// A worker count: the literal `auto` (case-insensitive) resolves to
+/// [`auto_workers`], anything else parses as a positive integer.
+fn parse_worker_count(name: &str, raw: &str) -> Option<usize> {
     if raw.trim().eq_ignore_ascii_case("auto") {
         return Some(auto_workers());
     }
-    parse_positive(name, raw)
+    parse_positive_u64(name, raw).and_then(|n| usize::try_from(n).ok())
 }
 
 /// Prints the ignored-knob warning, once per knob name per process.
@@ -117,68 +163,60 @@ mod tests {
     use super::*;
 
     #[test]
-    fn well_formed_values_parse() {
-        assert_eq!(parse_positive("VSNOOP_TEST_OK", "8"), Some(8));
-        assert_eq!(parse_positive("VSNOOP_TEST_OK", " 16 "), Some(16));
-        assert_eq!(parse_positive("VSNOOP_TEST_OK", "1"), Some(1));
+    fn positive_values_parse() {
+        assert_eq!(parse_positive_u64("TEST_OK", "1000"), Some(1000));
+        assert_eq!(parse_positive_u64("TEST_OK", " 250 "), Some(250));
+        assert_eq!(parse_positive_u64("TEST_OK", "1"), Some(1));
     }
 
     #[test]
     fn malformed_values_fall_back_to_default() {
-        // Each rejected shape returns None (caller keeps its default).
-        assert_eq!(parse_positive("VSNOOP_TEST_BAD", "abc"), None);
-        assert_eq!(parse_positive("VSNOOP_TEST_BAD", "0"), None);
-        assert_eq!(parse_positive("VSNOOP_TEST_BAD", "-3"), None);
-        assert_eq!(parse_positive("VSNOOP_TEST_BAD", "4.5"), None);
-        assert_eq!(parse_positive("VSNOOP_TEST_BAD", ""), None);
+        // Each rejected shape returns None (the caller keeps its default).
+        for raw in ["abc", "0", "-3", "4.5", ""] {
+            assert_eq!(parse_positive_u64("TEST_BAD", raw), None, "{raw:?}");
+        }
     }
 
     #[test]
-    fn u64_variant_mirrors_usize_semantics() {
-        assert_eq!(parse_positive_u64("VSNOOP_TEST_OK64", "1000"), Some(1000));
-        assert_eq!(parse_positive_u64("VSNOOP_TEST_OK64", " 250 "), Some(250));
-        assert_eq!(parse_positive_u64("VSNOOP_TEST_BAD64", "0"), None);
-        assert_eq!(parse_positive_u64("VSNOOP_TEST_BAD64", "abc"), None);
-        assert_eq!(parse_positive_u64("VSNOOP_TEST_BAD64", "-1"), None);
-        assert_eq!(env_positive_u64("VSNOOP_TEST_DEFINITELY_UNSET"), None);
+    fn soak_seed_accepts_zero_and_rejects_garbage() {
+        // SOAK_SEED's parser: zero is a seed like any other, and a
+        // malformed value warns and falls back instead of parsing to 0.
+        assert_eq!(parse_u64(SOAK_SEED, "0"), Some(0));
+        assert_eq!(parse_u64(SOAK_SEED, " 123 "), Some(123));
+        assert_eq!(parse_u64(SOAK_SEED, "0x50AC"), None);
+        assert_eq!(parse_u64(SOAK_SEED, "-1"), None);
+        // SOAK_ROUNDS's parser: `2k` warns and keeps the default.
+        assert_eq!(parse_positive_u64(SOAK_ROUNDS, "2k"), None);
+        assert_eq!(parse_positive_u64(SOAK_ROUNDS, "2000"), Some(2000));
     }
 
     #[test]
     fn warning_latch_fires_once_per_knob() {
-        assert!(note_first_warning("VSNOOP_TEST_LATCH_A"));
-        assert!(!note_first_warning("VSNOOP_TEST_LATCH_A"));
-        assert!(note_first_warning("VSNOOP_TEST_LATCH_B"));
-        assert!(!note_first_warning("VSNOOP_TEST_LATCH_B"));
+        assert!(note_first_warning("TEST_LATCH_A"));
+        assert!(!note_first_warning("TEST_LATCH_A"));
+        assert!(note_first_warning("TEST_LATCH_B"));
+        assert!(!note_first_warning("TEST_LATCH_B"));
     }
 
     #[test]
     fn unset_knob_is_silent_none() {
-        assert_eq!(env_positive_usize("VSNOOP_TEST_DEFINITELY_UNSET"), None);
-        assert_eq!(env_worker_count("VSNOOP_TEST_DEFINITELY_UNSET"), None);
+        assert_eq!(env_positive_u64("TEST_DEFINITELY_UNSET"), None);
+        assert_eq!(env_dir("TEST_DEFINITELY_UNSET"), None);
     }
 
     #[test]
     fn worker_count_auto_resolves_to_available_parallelism() {
         let auto = auto_workers();
         assert!(auto >= 1);
-        assert_eq!(
-            parse_worker_count("VSNOOP_TEST_WORKERS", "auto"),
-            Some(auto)
-        );
-        assert_eq!(
-            parse_worker_count("VSNOOP_TEST_WORKERS", " AUTO "),
-            Some(auto)
-        );
-        assert_eq!(
-            parse_worker_count("VSNOOP_TEST_WORKERS", "Auto"),
-            Some(auto)
-        );
+        for raw in ["auto", " AUTO ", "Auto"] {
+            assert_eq!(parse_worker_count("TEST_WORKERS", raw), Some(auto));
+        }
     }
 
     #[test]
     fn worker_count_numbers_and_rejects_behave_like_positive_ints() {
-        assert_eq!(parse_worker_count("VSNOOP_TEST_WORKERS_N", "4"), Some(4));
-        assert_eq!(parse_worker_count("VSNOOP_TEST_WORKERS_N", "0"), None);
-        assert_eq!(parse_worker_count("VSNOOP_TEST_WORKERS_N", "autoo"), None);
+        assert_eq!(parse_worker_count("TEST_WORKERS_N", "4"), Some(4));
+        assert_eq!(parse_worker_count("TEST_WORKERS_N", "0"), None);
+        assert_eq!(parse_worker_count("TEST_WORKERS_N", "autoo"), None);
     }
 }

@@ -9,11 +9,10 @@
 //! the `catch_unwind` handler can still dump the last events leading
 //! up to the failure.
 //!
-//! The ring holds the most recent [`flight_capacity`] events
-//! (`VSNOOP_FLIGHT_CAP`, default 1024). [`dump_flight`] writes it
-//! oldest-first as JSONL (`flight-<scope>-<reason>.jsonl` in the trace
-//! directory) with a schema header line; see `OBSERVABILITY.md` for
-//! the field reference.
+//! The ring holds the most recent [`DEFAULT_FLIGHT_CAP`] events.
+//! [`dump_flight`] writes it oldest-first as JSONL
+//! (`flight-<scope>-<reason>.jsonl` in the trace directory) with a
+//! schema header line; see `OBSERVABILITY.md` for the field reference.
 //!
 //! Nothing here runs when observability is disabled: the recording
 //! call sites are gated on [`obs::enabled`](super::enabled), and the
@@ -25,7 +24,7 @@ use std::path::PathBuf;
 
 use crate::runner::json::Value;
 
-/// Default ring capacity when `VSNOOP_FLIGHT_CAP` is unset.
+/// Ring capacity per thread, in events.
 pub const DEFAULT_FLIGHT_CAP: usize = 1024;
 
 /// Schema tag written on the first line of every flight dump.
@@ -120,7 +119,7 @@ impl Ring {
     fn new() -> Self {
         Ring {
             buf: Vec::new(),
-            cap: flight_capacity(),
+            cap: DEFAULT_FLIGHT_CAP,
             head: 0,
             total: 0,
         }
@@ -146,12 +145,6 @@ impl Ring {
 
 thread_local! {
     static RING: RefCell<Option<Ring>> = const { RefCell::new(None) };
-}
-
-/// Ring capacity: `VSNOOP_FLIGHT_CAP` (minimum 1), else
-/// [`DEFAULT_FLIGHT_CAP`]. Read when a thread's ring is first created.
-pub fn flight_capacity() -> usize {
-    crate::knob::env_positive_usize("VSNOOP_FLIGHT_CAP").unwrap_or(DEFAULT_FLIGHT_CAP)
 }
 
 /// Records one transaction event into this thread's ring.

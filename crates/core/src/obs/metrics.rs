@@ -32,9 +32,8 @@
 //! adds, noise against the millisecond-scale operations it measures
 //! (the benchmark's `obs.hist_record_ns` prices one record). The
 //! engine-phase histograms alone are gated on [`enabled`] —
-//! `VSNOOP_METRICS=1`, [`set_enabled`], or an active trace directory —
-//! because the batched simulation loop is the workspace's zero-cost
-//! hot path.
+//! [`set_enabled`] or an active trace directory — because the batched
+//! simulation loop is the workspace's zero-cost hot path.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -412,7 +411,7 @@ pub fn record_queue_wait(tenant: &str, us: u64) {
 static METRICS_ON: AtomicBool = AtomicBool::new(false);
 
 /// Whether engine-phase metrics record. True when explicitly enabled
-/// ([`set_enabled`] / `VSNOOP_METRICS=1`) **or** the observability
+/// ([`set_enabled`]) **or** the observability
 /// layer is on. Note the engine itself refuses the batched path while
 /// tracing is on, so explicit enablement is how the batched phases are
 /// actually observed (the benchmark's `engine.*` phase rows). Service
@@ -426,17 +425,6 @@ pub fn enabled() -> bool {
 /// directory and never affects engine eligibility).
 pub fn set_enabled(on: bool) {
     METRICS_ON.store(on, Ordering::SeqCst);
-}
-
-/// Reads `VSNOOP_METRICS` (`1`/`true` enables the engine-phase gate).
-/// Called from [`crate::obs::init_from_env`].
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("VSNOOP_METRICS") {
-        let v = v.trim();
-        if v == "1" || v.eq_ignore_ascii_case("true") {
-            set_enabled(true);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

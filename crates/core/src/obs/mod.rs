@@ -122,17 +122,11 @@ pub fn trace_dir() -> Option<PathBuf> {
 /// Called by every bench binary at startup; harmless to call twice.
 pub fn init_from_env() {
     mono_ms(); // anchor the monotonic clock at startup
-    if enabled() {
-        metrics::init_from_env();
-        return;
-    }
-    if let Ok(dir) = std::env::var("VSNOOP_TRACE") {
-        let dir = dir.trim();
-        if !dir.is_empty() {
-            set_trace_dir(Some(PathBuf::from(dir)));
+    if !enabled() {
+        if let Some(dir) = crate::knob::trace_dir() {
+            set_trace_dir(Some(dir));
         }
     }
-    metrics::init_from_env();
 }
 
 /// Milliseconds elapsed since this clock's first use (one [`Instant`]

@@ -22,10 +22,9 @@
 //!
 //! The worker count is process-global: explicit
 //! [`set_shard_workers`] (the `all` binary's `--workers` flag), else
-//! the `VSNOOP_SHARD_WORKERS` environment variable, else the host's
-//! available parallelism. A count of 1 — or a single-item input — runs
-//! inline on the caller thread, which is exactly the legacy serial
-//! path.
+//! the host's available parallelism. A count of 1 — or a single-item
+//! input — runs inline on the caller thread, which is exactly the
+//! legacy serial path.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -35,7 +34,7 @@ use super::cancel;
 use super::json::Value;
 
 /// Explicit worker-count override; 0 means "not set" (fall through to
-/// the environment, then to the host parallelism).
+/// the host parallelism).
 static SHARD_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-global shard worker count (0 clears the override).
@@ -44,16 +43,12 @@ pub fn set_shard_workers(n: usize) {
 }
 
 /// The effective shard worker count: [`set_shard_workers`] if set, else
-/// `VSNOOP_SHARD_WORKERS`, else the host's available parallelism.
+/// the host's available parallelism.
 pub fn shard_workers() -> usize {
-    let n = SHARD_WORKERS.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
+    match SHARD_WORKERS.load(Ordering::Relaxed) {
+        0 => crate::knob::auto_workers(),
+        n => n,
     }
-    if let Some(n) = crate::knob::env_positive_usize("VSNOOP_SHARD_WORKERS") {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Applies `f` to every item on the shard worker pool and returns the

@@ -191,13 +191,6 @@ fn elapsed_ms(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Telemetry heartbeat period: `VSNOOP_HEARTBEAT_MS`, default 1000
-/// (shared warn-once knob parsing: malformed values warn on stderr and
-/// keep the default).
-fn heartbeat_interval() -> Duration {
-    Duration::from_millis(crate::knob::env_positive_u64("VSNOOP_HEARTBEAT_MS").unwrap_or(1000))
-}
-
 /// Campaign progress counters shared with the heartbeat thread. The
 /// dispatch loop is the only writer; the heartbeat tick only reads, so
 /// plain relaxed atomics (and one small mutex for the name list) are
@@ -438,7 +431,7 @@ pub fn run_campaign(
         let mut rounds = crate::obs::rounds_counted();
         Some(crate::obs::Heartbeat::spawn(
             "campaign",
-            heartbeat_interval(),
+            crate::knob::heartbeat(),
             move || {
                 state.emit(&mut last, &mut rounds);
                 crate::obs::metrics::write_prom_if_traced();

@@ -12,9 +12,10 @@
 //! - **`poll(2)`** — the portable baseline. The fd set is rebuilt from
 //!   a small map on every wait, which is O(n) per tick but has no
 //!   kernel registration state to get out of sync.
-//! - **`epoll(7)`** — the Linux upgrade, O(ready) per wait. Selected
-//!   automatically on Linux; `VSNOOP_REACTOR=poll` forces the
-//!   baseline (the high-concurrency loadtest lane exercises both).
+//! - **`epoll(7)`** — the Linux upgrade, O(ready) per wait. Always
+//!   selected on Linux, with `poll(2)` as the fallback when
+//!   `epoll_create1` fails; the unit tests run every readiness check
+//!   against both backends.
 //!
 //! Both are level-triggered: the server only registers write interest
 //! while a connection has buffered output, so an idle socket never
@@ -129,30 +130,32 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates a poller, preferring epoll on Linux. Set
-    /// `VSNOOP_REACTOR=poll` to force the portable `poll(2)` backend.
+    /// Creates a poller: epoll on Linux, else (or when epoll is
+    /// unavailable) the portable `poll(2)` backend.
     pub fn new() -> std::io::Result<Poller> {
         #[cfg(target_os = "linux")]
         {
-            let forced_poll = std::env::var("VSNOOP_REACTOR")
-                .map(|v| v.trim().eq_ignore_ascii_case("poll"))
-                .unwrap_or(false);
-            if !forced_poll {
-                let epfd = unsafe { epoll::epoll_create1(epoll::EPOLL_CLOEXEC) };
-                if epfd >= 0 {
-                    return Ok(Poller {
-                        backend: Backend::Epoll { epfd },
-                    });
-                }
-                // Fall through to poll(2) on failure (e.g. a kernel
-                // without epoll support in a restricted sandbox).
+            // SAFETY: epoll_create1 takes only a flag word and returns a
+            // new fd or -1; no memory is shared with the kernel.
+            let epfd = unsafe { epoll::epoll_create1(epoll::EPOLL_CLOEXEC) };
+            if epfd >= 0 {
+                return Ok(Poller {
+                    backend: Backend::Epoll { epfd },
+                });
             }
+            // Fall through to poll(2) on failure (e.g. a kernel
+            // without epoll support in a restricted sandbox).
         }
-        Ok(Poller {
+        Ok(Poller::portable())
+    }
+
+    /// A poller on the portable `poll(2)` backend.
+    fn portable() -> Poller {
+        Poller {
             backend: Backend::Poll {
                 interests: HashMap::new(),
             },
-        })
+        }
     }
 
     /// The active backend, for logs and tests.
@@ -369,6 +372,15 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::time::Instant;
 
+    /// Both backends: the one [`Poller::new`] picks (epoll on Linux) and
+    /// a directly built `poll(2)` one, which Linux only reaches when
+    /// epoll fails. Every readiness test runs against each.
+    fn backends() -> [Poller; 2] {
+        let portable = Poller::portable();
+        assert_eq!(portable.backend_name(), "poll");
+        [Poller::new().unwrap(), portable]
+    }
+
     fn ready_tokens(events: &[ReadyEvent]) -> Vec<u64> {
         let mut t: Vec<u64> = events.iter().map(|e| e.token).collect();
         t.sort_unstable();
@@ -377,92 +389,101 @@ mod tests {
 
     #[test]
     fn wait_times_out_with_no_ready_fds() {
-        let mut poller = Poller::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        poller
-            .register(listener.as_raw_fd(), 7, Interest::READ)
-            .unwrap();
-        let mut events = Vec::new();
-        let start = Instant::now();
-        poller.wait(&mut events, Duration::from_millis(30)).unwrap();
-        assert!(events.is_empty());
-        assert!(start.elapsed() >= Duration::from_millis(20));
+        for mut poller in backends() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            poller
+                .register(listener.as_raw_fd(), 7, Interest::READ)
+                .unwrap();
+            let mut events = Vec::new();
+            let start = Instant::now();
+            poller.wait(&mut events, Duration::from_millis(30)).unwrap();
+            assert!(events.is_empty(), "{}", poller.backend_name());
+            assert!(start.elapsed() >= Duration::from_millis(20));
+        }
     }
 
     #[test]
     fn listener_becomes_readable_on_connect() {
-        let mut poller = Poller::new().unwrap();
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        poller
-            .register(listener.as_raw_fd(), 1, Interest::READ)
-            .unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, Duration::from_secs(5)).unwrap();
-        assert_eq!(ready_tokens(&events), vec![1]);
-        assert!(events[0].readable);
+        for mut poller in backends() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            poller
+                .register(listener.as_raw_fd(), 1, Interest::READ)
+                .unwrap();
+            let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let mut events = Vec::new();
+            poller.wait(&mut events, Duration::from_secs(5)).unwrap();
+            assert_eq!(ready_tokens(&events), vec![1], "{}", poller.backend_name());
+            assert!(events[0].readable);
+        }
+    }
+
+    #[test]
+    fn deregistered_fd_reports_nothing() {
+        for mut poller in backends() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            poller
+                .register(listener.as_raw_fd(), 5, Interest::READ)
+                .unwrap();
+            poller.deregister(listener.as_raw_fd()).unwrap();
+            let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let mut events = Vec::new();
+            poller.wait(&mut events, Duration::from_millis(20)).unwrap();
+            assert!(events.is_empty(), "{}", poller.backend_name());
+        }
     }
 
     #[test]
     fn waker_wakes_a_blocked_wait_from_another_thread() {
-        let mut poller = Poller::new().unwrap();
-        let (waker, mut rx) = wake_pair().unwrap();
-        poller.register(rx.as_raw_fd(), 42, Interest::READ).unwrap();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            waker.wake();
-            waker // keep the write end open past the second wait below
-        });
-        let mut events = Vec::new();
-        poller.wait(&mut events, Duration::from_secs(5)).unwrap();
-        assert_eq!(ready_tokens(&events), vec![42]);
-        drain_wakes(&mut rx);
-        let _waker = handle.join().unwrap();
-        // Drained: the next wait times out instead of spinning.
-        poller.wait(&mut events, Duration::from_millis(10)).unwrap();
-        assert!(events.is_empty());
+        for mut poller in backends() {
+            let (waker, mut rx) = wake_pair().unwrap();
+            poller.register(rx.as_raw_fd(), 42, Interest::READ).unwrap();
+            let handle = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                waker.wake();
+                waker // keep the write end open past the second wait below
+            });
+            let mut events = Vec::new();
+            poller.wait(&mut events, Duration::from_secs(5)).unwrap();
+            assert_eq!(ready_tokens(&events), vec![42], "{}", poller.backend_name());
+            drain_wakes(&mut rx);
+            let _waker = handle.join().unwrap();
+            // Drained: the next wait times out instead of spinning.
+            poller.wait(&mut events, Duration::from_millis(10)).unwrap();
+            assert!(events.is_empty(), "{}", poller.backend_name());
+        }
     }
 
     #[test]
     fn write_interest_reports_writable_and_modify_clears_it() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server, _) = listener.accept().unwrap();
-        server.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller
-            .register(
-                server.as_raw_fd(),
-                3,
-                Interest {
-                    readable: true,
-                    writable: true,
-                },
-            )
-            .unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, Duration::from_secs(5)).unwrap();
-        assert!(events.iter().any(|e| e.token == 3 && e.writable));
-        // Dropping write interest stops the writable reports.
-        poller
-            .modify(server.as_raw_fd(), 3, Interest::READ)
-            .unwrap();
-        poller.wait(&mut events, Duration::from_millis(20)).unwrap();
-        assert!(events.iter().all(|e| !e.writable));
-        drop(client);
-    }
-
-    #[test]
-    fn forced_poll_backend_via_env_knob_shape() {
-        // Not set via env here (tests run in parallel); just check both
-        // constructors answer to the same interface.
-        let poller = Poller::new().unwrap();
-        assert!(matches!(poller.backend_name(), "poll" | "epoll"));
-        let fallback = Poller {
-            backend: Backend::Poll {
-                interests: HashMap::new(),
-            },
-        };
-        assert_eq!(fallback.backend_name(), "poll");
+        for mut poller in backends() {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            server.set_nonblocking(true).unwrap();
+            poller
+                .register(
+                    server.as_raw_fd(),
+                    3,
+                    Interest {
+                        readable: true,
+                        writable: true,
+                    },
+                )
+                .unwrap();
+            let mut events = Vec::new();
+            poller.wait(&mut events, Duration::from_secs(5)).unwrap();
+            assert!(events.iter().any(|e| e.token == 3 && e.writable));
+            // Dropping write interest stops the writable reports.
+            poller
+                .modify(server.as_raw_fd(), 3, Interest::READ)
+                .unwrap();
+            poller.wait(&mut events, Duration::from_millis(20)).unwrap();
+            assert!(
+                events.iter().all(|e| !e.writable),
+                "{}",
+                poller.backend_name()
+            );
+            drop(client);
+        }
     }
 }

@@ -515,10 +515,7 @@ pub(super) fn scheduler_loop(
 /// visible to subscribers even without a trace dir. The tick gates
 /// itself so an idle, untraced server does no per-interval work.
 fn spawn_heartbeat(shared: &Arc<Shared>) -> crate::obs::Heartbeat {
-    // `VSNOOP_HEARTBEAT_MS`, default 1000 (same knob, same warn-once
-    // parser as the campaign supervisor).
-    let interval =
-        Duration::from_millis(crate::knob::env_positive_u64("VSNOOP_HEARTBEAT_MS").unwrap_or(1000));
+    let interval = crate::knob::heartbeat();
     let shared = Arc::clone(shared);
     crate::obs::Heartbeat::spawn("service", interval, move || {
         // The Prometheus dump only needs a trace directory, not a

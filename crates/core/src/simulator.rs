@@ -844,7 +844,7 @@ impl Simulator {
     /// available parallelism), else 1 (serial).
     fn resolved_engine_workers(&self) -> usize {
         self.engine_workers
-            .or_else(|| crate::knob::env_worker_count("VSNOOP_ENGINE_WORKERS"))
+            .or_else(crate::knob::engine_workers)
             .unwrap_or(1)
     }
 
