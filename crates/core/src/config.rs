@@ -6,6 +6,7 @@
 //! reproduces that machine; the fields are public so experiments can scale
 //! it (e.g. the 64-core projection of Fig. 2).
 
+use sim_mem::CacheGeometry;
 use sim_net::LatencyModel;
 
 /// Full configuration of the simulated machine.
@@ -35,7 +36,9 @@ pub struct SystemConfig {
     pub n_vms: usize,
     /// vCPUs per VM.
     pub vcpus_per_vm: u16,
-    /// Sharing-type TLB slots per core.
+    /// Slots of a per-core sharing-type TLB ([`sim_vm::TypeTlb`]). The
+    /// simulator classifies accesses from the sharing directory itself and
+    /// builds no TLB; this sizes TLB models measured on their own.
     pub tlb_slots: usize,
     /// Scaled cycles per simulated millisecond. The reproduction's traces
     /// are far shorter than real benchmark runs, so wall-clock quantities
@@ -127,11 +130,29 @@ impl SystemConfig {
         if self.n_vms == 0 {
             return Err(ConfigError::new("need at least one VM"));
         }
+        if self.vcpus_per_vm == 0 {
+            return Err(ConfigError::new("need at least one vCPU per VM"));
+        }
+        if self.tlb_slots == 0 {
+            return Err(ConfigError::new(
+                "a sharing-type TLB needs at least one slot",
+            ));
+        }
         if self.cycles_per_access == 0 || self.cycles_per_ms == 0 {
             return Err(ConfigError::new("clock rates must be positive"));
         }
         if self.l1_bytes >= self.l2_bytes {
             return Err(ConfigError::new("L1 must be smaller than L2"));
+        }
+        for (level, bytes, ways) in [
+            ("L1", self.l1_bytes, self.l1_ways),
+            ("L2", self.l2_bytes, self.l2_ways),
+        ] {
+            if let Err(e) = CacheGeometry::try_new(bytes, ways) {
+                return Err(ConfigError::new(format!(
+                    "{level} geometry ({bytes} bytes, {ways} ways): {e}"
+                )));
+            }
         }
         Ok(())
     }

@@ -15,9 +15,9 @@
 //! Execution is staged per *batch* of rounds with deterministic barriers:
 //!
 //! 1. **update-procs** (serial, main thread): cycle advance, migrations,
-//!    access generation in exact `(round, core)` order — the workload RNG
-//!    and per-core sharing-type TLBs are inherently serial state — into an
-//!    immutable [`BatchPlan`].
+//!    access generation and sharing-type classification in exact
+//!    `(round, core)` order — the workload RNG is inherently serial state —
+//!    into an immutable [`BatchPlan`].
 //! 2. **update-caches** (parallel): each worker walks the plan in order and
 //!    executes the full transaction ladder for entries whose shard it owns,
 //!    against its shard's cache sets, ledger bank, and traffic lens. Every
@@ -199,7 +199,6 @@ pub(super) fn run_batched<W: SystemWorkload>(
         l2,
         protocol,
         hv,
-        tlbs,
         friends,
         lane,
         cycle,
@@ -330,8 +329,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
                 lane.stats.accesses += 1;
                 let c = core.index();
                 let block = BlockAddr::new(access.addr / sim_mem::BLOCK_BYTES);
-                let page = access.addr / PAGE_BYTES;
-                let sharing = tlbs[c].lookup(page, workload.directory());
+                let sharing = workload.directory().sharing(access.addr / PAGE_BYTES);
                 if sharing == SharingType::RoShared {
                     lane.stats.content_accesses += 1;
                 }
@@ -603,8 +601,8 @@ impl ShardCtx<'_> {
 
     /// [`Simulator::step`] transcribed against the shard view (the L1/L2
     /// probing, hit classification, and miss decomposition are verbatim;
-    /// the serial-only prologue — access counting and TLB classification —
-    /// already ran in update-procs).
+    /// the serial-only prologue — access counting and sharing-type
+    /// classification — already ran in update-procs).
     fn step(&mut self, e: &PlanEntry, plan: &BatchPlan) {
         let c = e.core as usize;
         let block = e.block;

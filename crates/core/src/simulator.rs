@@ -9,7 +9,8 @@
 //!
 //! The flow of one coherence transaction (Section IV-A of the paper):
 //!
-//! 1. address translation consults the sharing-type TLB (two PTE bits);
+//! 1. the page's two sharing-type bits classify the access (read from the
+//!    sharing directory, which is what a shot-down TLB returns);
 //! 2. the filter picks snoop destinations — broadcast for host agents and
 //!    RW-shared pages, the VM's vCPU map for private pages, the configured
 //!    [`ContentPolicy`] route for content-shared pages;
@@ -32,8 +33,7 @@ use sim_mem::{
 };
 use sim_net::{LinkFaults, Mesh, MessageKind, Network, NodeId};
 use sim_vm::{
-    Agent, CoreId, Hypervisor, SharingDirectory, SharingType, TypeTlb, UnplacedVcpu, VcpuId, VmId,
-    VmSpec,
+    Agent, CoreId, Hypervisor, SharingDirectory, SharingType, UnplacedVcpu, VcpuId, VmId, VmSpec,
 };
 use workloads::{AccessStream, TraceAccess, Workload};
 
@@ -210,7 +210,7 @@ impl SystemWorkload for ReplayWorkload<'_> {
 /// `Simulator` is `Clone`: the copy carries the complete architectural
 /// and micro-architectural state — caches (contents *and* LRU order),
 /// the token ledger, network traffic counters, hypervisor placement,
-/// vCPU maps, TLBs, removal timers, fault and checker state — so a
+/// vCPU maps, removal timers, fault and checker state — so a
 /// clone taken after a warm-up phase behaves bit-identically to the
 /// original from that point on. [`Simulator::snapshot`] packages a
 /// clone together with the matching [`Workload`] position.
@@ -222,7 +222,6 @@ pub struct Simulator {
     l2: Vec<Cache>,
     protocol: Engine,
     hv: Hypervisor,
-    tlbs: Vec<TypeTlb>,
     friends: Vec<Option<VmId>>,
     /// RegionScout baseline state (present only under that policy).
     region_filter: Option<RegionFilter>,
@@ -351,7 +350,6 @@ impl Simulator {
                 Engine::Fast(TokenProtocol::new(n as u32))
             },
             hv,
-            tlbs: vec![TypeTlb::new(cfg.tlb_slots); n],
             friends: vec![None; cfg.n_vms],
             lane: FilterLane::new(policy, maps, &cfg, net),
             extra_lanes: Vec::new(),
@@ -1131,8 +1129,7 @@ impl Simulator {
         let c = core.index();
         self.lane.stats.accesses += 1;
         let block = BlockAddr::new(access.addr / sim_mem::BLOCK_BYTES);
-        let page = access.addr / PAGE_BYTES;
-        let sharing = self.tlbs[c].lookup(page, dir);
+        let sharing = dir.sharing(access.addr / PAGE_BYTES);
         if sharing == SharingType::RoShared {
             self.lane.stats.content_accesses += 1;
         }
@@ -1549,9 +1546,9 @@ impl Simulator {
     }
 
     fn refresh_friends(&mut self, workload: &impl SystemWorkload) {
-        self.friends = (0..self.cfg.n_vms)
-            .map(|v| workload.friend_of(VmId::new(v as u16)))
-            .collect();
+        for (v, friend) in self.friends.iter_mut().enumerate() {
+            *friend = workload.friend_of(VmId::new(v as u16));
+        }
     }
 
     /// Verifies token conservation for `block` across the whole machine

@@ -47,19 +47,32 @@ impl CacheGeometry {
     /// Panics unless `bytes` is a positive multiple of
     /// `ways * BLOCK_BYTES` and the resulting set count is a power of two.
     pub fn new(bytes: u64, ways: usize) -> Self {
-        assert!(ways > 0, "associativity must be positive");
+        Self::try_new(bytes, ways).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a geometry like [`CacheGeometry::new`], returning the
+    /// violated constraint instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated constraint, human-readable.
+    pub fn try_new(bytes: u64, ways: usize) -> Result<Self, &'static str> {
+        if ways == 0 {
+            return Err("associativity must be positive");
+        }
         let line_bytes = ways as u64 * BLOCK_BYTES;
-        assert!(
-            bytes > 0 && bytes.is_multiple_of(line_bytes),
-            "capacity must be a positive multiple of ways * block size"
-        );
+        if bytes == 0 || !bytes.is_multiple_of(line_bytes) {
+            return Err("capacity must be a positive multiple of ways * block size");
+        }
         let sets = bytes / line_bytes;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        CacheGeometry {
+        if !sets.is_power_of_two() {
+            return Err("set count must be a power of two");
+        }
+        Ok(CacheGeometry {
             bytes,
             ways,
             set_mask: sets - 1,
-        }
+        })
     }
 
     /// Total capacity in bytes.

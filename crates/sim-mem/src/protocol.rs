@@ -19,7 +19,7 @@
 use crate::addr::BlockAddr;
 use crate::cache::{Cache, CacheShard};
 use crate::line::{CacheLine, LineTag, TokenState};
-use crate::table::BlockMap;
+use sim_vm::PagedTable;
 
 /// Indexed per-core cache operations the protocol engine performs,
 /// implemented by the full per-core cache array (`[Cache]`, the serial
@@ -75,48 +75,46 @@ impl CacheBank for [CacheShard<'_>] {
 /// safe under arbitrary (even wrong) snoop filtering: if the owner is in
 /// some cache the filter missed, the attempt simply fails and is retried
 /// more broadly.
+///
+/// Each block is one byte of a [`PagedTable`]: the tokens away from
+/// memory in the low seven bits, and [`OWNER_AWAY`] once the owner token
+/// has left. The reset state (everything at home) is therefore zero, the
+/// value of every block the table has not seen.
 #[derive(Clone, Debug)]
 pub struct TokenMemory {
     total: u32,
-    entries: BlockMap<MemEntry>,
+    away: PagedTable<u8>,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct MemEntry {
-    tokens: u32,
-    owner: bool,
-}
+/// Set in a block's ledger byte while the owner token is away from memory.
+const OWNER_AWAY: u8 = 0x80;
 
 impl TokenMemory {
     /// Creates a token home directory with `total` tokens per block.
     ///
     /// # Panics
     ///
-    /// Panics if `total` is zero.
+    /// Panics if `total` is zero or does not fit in a ledger byte's seven
+    /// token bits (more than 127).
     pub fn new(total: u32) -> Self {
         assert!(total > 0, "token count must be positive");
+        assert!(
+            total < u32::from(OWNER_AWAY),
+            "token count must be at most {} (got {total})",
+            OWNER_AWAY - 1
+        );
         TokenMemory {
             total,
-            entries: BlockMap::new(),
+            away: PagedTable::new(),
         }
     }
 
-    fn entry(&self, block: BlockAddr) -> MemEntry {
-        self.entries
-            .get(block.index())
-            .copied()
-            .unwrap_or(MemEntry {
-                tokens: self.total,
-                owner: true,
-            })
-    }
-
-    /// The reset-state entry: all tokens plus the owner token at home.
-    fn reset(&self) -> MemEntry {
-        MemEntry {
-            tokens: self.total,
-            owner: true,
-        }
+    /// `(tokens, owner)` held at memory, from a ledger byte.
+    fn decode(&self, away: u8) -> (u32, bool) {
+        (
+            self.total - u32::from(away & !OWNER_AWAY),
+            away & OWNER_AWAY == 0,
+        )
     }
 
     /// Tokens per block in the whole system.
@@ -126,13 +124,13 @@ impl TokenMemory {
 
     /// Tokens currently held at memory for `block`.
     pub fn tokens(&self, block: BlockAddr) -> u32 {
-        self.entry(block).tokens
+        self.decode(self.away.get(block.index())).0
     }
 
     /// Whether memory holds the owner token for `block` (and therefore has
     /// clean, authoritative data).
     pub fn has_owner(&self, block: BlockAddr) -> bool {
-        self.entry(block).owner
+        self.away.get(block.index()) & OWNER_AWAY == 0
     }
 
     /// Iterates over every block whose memory-side holdings differ from
@@ -142,22 +140,27 @@ impl TokenMemory {
     /// agree on every block compare equal regardless of access history.
     /// Iteration order is unspecified; sort before comparing.
     pub fn entries(&self) -> impl Iterator<Item = (BlockAddr, u32, bool)> + '_ {
-        self.entries
-            .iter()
-            .filter(|(_, e)| !(e.tokens == self.total && e.owner))
-            .map(|(b, e)| (BlockAddr::new(b), e.tokens, e.owner))
+        self.away.iter().filter(|&(_, a)| a != 0).map(|(b, a)| {
+            let (tokens, owner) = self.decode(a);
+            (BlockAddr::new(b), tokens, owner)
+        })
     }
 
     /// Takes up to `n` tokens from memory; returns `(taken, owner_taken)`.
     /// The owner token is handed out last: it transfers only when the take
     /// empties memory's holdings.
     pub fn take(&mut self, block: BlockAddr, n: u32) -> (u32, bool) {
-        let reset = self.reset();
-        let e = self.entries.entry_mut(block.index(), reset);
-        let taken = e.tokens.min(n);
-        let owner_taken = e.owner && taken == e.tokens && taken > 0;
-        e.tokens -= taken;
-        e.owner = e.owner && !owner_taken;
+        let total = self.total;
+        let a = self.away.get_mut(block.index());
+        let home = total - u32::from(*a & !OWNER_AWAY);
+        let taken = home.min(n);
+        let owner_taken = *a & OWNER_AWAY == 0 && taken == home && taken > 0;
+        // Away plus taken is at most `total < OWNER_AWAY`: no carry into
+        // the owner bit.
+        *a += taken as u8;
+        if owner_taken {
+            *a |= OWNER_AWAY;
+        }
         (taken, owner_taken)
     }
 
@@ -167,13 +170,16 @@ impl TokenMemory {
     ///
     /// Panics (in debug builds) on token overflow or duplicate owner.
     pub fn put(&mut self, block: BlockAddr, n: u32, owner: bool) {
-        let reset = self.reset();
-        let total = self.total;
-        let e = self.entries.entry_mut(block.index(), reset);
-        debug_assert!(e.tokens + n <= total, "token overflow at memory");
-        debug_assert!(!(e.owner && owner), "duplicate owner token at memory");
-        e.tokens += n;
-        e.owner |= owner;
+        let a = self.away.get_mut(block.index());
+        debug_assert!(n <= u32::from(*a & !OWNER_AWAY), "token overflow at memory");
+        debug_assert!(
+            !owner || *a & OWNER_AWAY != 0,
+            "duplicate owner token at memory"
+        );
+        *a -= n as u8;
+        if owner {
+            *a &= !OWNER_AWAY;
+        }
     }
 
     /// Drains this ledger into `n_banks` bank ledgers, bank `k` owning
@@ -194,23 +200,24 @@ impl TokenMemory {
         let mask = n_banks as u64 - 1;
         let mut banks: Vec<TokenMemory> =
             (0..n_banks).map(|_| TokenMemory::new(self.total)).collect();
-        for (b, e) in self.entries.iter() {
-            *banks[(b & mask) as usize].entries.entry_mut(b, *e) = *e;
+        for (b, a) in std::mem::take(&mut self.away).iter() {
+            if a != 0 {
+                *banks[(b & mask) as usize].away.get_mut(b) = a;
+            }
         }
-        self.entries.clear();
         banks
     }
 
-    /// Folds bank ledgers produced by [`TokenMemory::split`] back in.
-    /// Entry values move verbatim; only the hash-table slot layout can
-    /// differ from a never-split ledger, which is invisible to every
-    /// consumer (lookups are by block, and [`TokenMemory::entries`]
-    /// iteration is documented as unordered).
+    /// Folds bank ledgers produced by [`TokenMemory::split`] back into
+    /// the ledger they were drained from: every block not in the reset
+    /// state moves verbatim.
     pub fn absorb(&mut self, banks: impl IntoIterator<Item = TokenMemory>) {
         for bank in banks {
             debug_assert_eq!(bank.total, self.total, "bank token total mismatch");
-            for (b, e) in bank.entries.iter() {
-                *self.entries.entry_mut(b, *e) = *e;
+            for (b, a) in bank.away.iter() {
+                if a != 0 {
+                    *self.away.get_mut(b) = a;
+                }
             }
         }
     }

@@ -1,18 +1,18 @@
 //! A deterministic open-addressed hash table keyed by raw block index.
 //!
-//! The memory-side token ledger is the hottest lookup in the simulator:
-//! every write miss (and every failed attempt's bounce) touches it, and
-//! `std`'s `HashMap` pays SipHash plus a double lookup (`get` then
-//! `insert`) per operation. [`BlockMap`] replaces it with a linear-probing
-//! table using a Fibonacci multiplicative hash — a single multiply — and
-//! an `entry_mut` API that resolves the slot exactly once per operation.
+//! The invariant checker keeps two block-keyed tables: the blocks it has
+//! observed, and the per-block accumulators of a line-major sweep, which
+//! are emptied every sweep. [`BlockMap`] serves both with a
+//! linear-probing table using a Fibonacci multiplicative hash — a
+//! single multiply — an `entry_mut` API that resolves the slot exactly
+//! once per operation, and a `clear` that keeps the allocation. (The
+//! memory-side token ledger, which is dense and never emptied, lives in a
+//! `sim_vm::PagedTable` instead.)
 //!
-//! The table is *insert-only* (the ledger never deletes entries; blocks
-//! whose tokens all return home simply sit in the reset state), which
-//! keeps probing trivially correct: no tombstones, no backward shifts.
-//! Everything about it is deterministic — identical insert sequences
-//! produce identical slot layouts — though iteration order remains an
-//! implementation detail; sort before comparing, as with any map.
+//! The table is *insert-only* (entries are only dropped all at once, by
+//! `clear`), which keeps probing trivially correct: no tombstones, no
+//! backward shifts. Everything about it is deterministic: identical
+//! insert sequences produce identical slot layouts.
 
 /// Sentinel for an empty slot. Block indices are byte addresses divided
 /// by 64, so `u64::MAX` can never be a real key.
@@ -133,16 +133,6 @@ impl<V: Copy + Default> BlockMap<V> {
         self.len = 0;
     }
 
-    /// Iterates over `(key, &value)` pairs in slot order. Slot order is
-    /// an implementation detail; sort before comparing across maps.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.keys
-            .iter()
-            .zip(self.vals.iter())
-            .filter(|(&k, _)| k != EMPTY)
-            .map(|(&k, v)| (k, v))
-    }
-
     fn grow(&mut self) {
         let next = Self::with_pow2_capacity((self.mask + 1) * 2);
         let old_keys = std::mem::replace(&mut self.keys, next.keys);
@@ -195,17 +185,6 @@ mod tests {
             assert_eq!(m.get(k * 64), Some(&k));
         }
         assert_eq!(m.len(), 300);
-    }
-
-    #[test]
-    fn iter_yields_every_entry() {
-        let mut m: BlockMap<u8> = BlockMap::new();
-        for k in [3u64, 77, 1024, 9999] {
-            *m.entry_mut(k, 0) = (k % 250) as u8;
-        }
-        let mut got: Vec<(u64, u8)> = m.iter().map(|(k, &v)| (k, v)).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![(3, 3), (77, 77), (1024, 24), (9999, 249)]);
     }
 
     #[test]

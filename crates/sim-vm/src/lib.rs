@@ -12,6 +12,8 @@
 //!   basis of inter-VM memory isolation.
 //! * [`SharingDirectory`] / [`SharingType`] / [`TypeTlb`] — the two
 //!   sharing-type bits virtual snooping stores in page tables and TLBs.
+//! * [`PagedTable`] — the hash-free `u64`-keyed table behind the sharing
+//!   directory and the memory-side token ledger.
 //! * [`ContentSharer`] — VMware-ESX-style content-based page sharing with
 //!   copy-on-write (Section VI of the paper).
 //! * [`run_scheduler`] — a Xen-credit-scheduler model producing the
@@ -36,6 +38,7 @@ mod hypervisor;
 mod ids;
 mod memory;
 mod page_table;
+mod paged;
 mod scheduler;
 mod vm;
 
@@ -44,6 +47,7 @@ pub use hypervisor::{Hypervisor, RelocationEvent, UnplacedVcpu};
 pub use ids::{Agent, CoreId, VcpuId, VmId};
 pub use memory::{MemoryMap, PageRange};
 pub use page_table::{SharingDirectory, SharingType, TlbStats, TypeTlb};
+pub use paged::PagedTable;
 pub use scheduler::{
     run_scheduler, SchedOutcome, SchedPolicy, SchedulerConfig, VmWorkload, WorkloadBehavior,
 };

@@ -1,4 +1,5 @@
-//! Page sharing types, the hypervisor's sharing directory, and the TLB view.
+//! Page sharing types, the hypervisor's sharing directory, and a model of
+//! the TLB's cached copy.
 //!
 //! Section IV-A of the paper: "Memory pages can be used by only a VM or
 //! shared among VMs and the hypervisor. Depending on the sharing types of
@@ -9,13 +10,15 @@
 //! every coherence transaction."
 //!
 //! The [`SharingDirectory`] models the authoritative per-page sharing state
-//! stored in shadow/nested page tables (only the hypervisor mutates it), and
-//! [`TypeTlb`] models the per-core cached copy consulted on every coherence
-//! transaction.
-
-use std::collections::HashMap;
+//! stored in shadow/nested page tables (only the hypervisor mutates it).
+//! The simulator classifies every access by reading it directly: a TLB
+//! that is shot down on every directory change always returns the
+//! directory's answer, so classification costs nothing in simulated time
+//! either way. [`TypeTlb`] models the per-core cached copy on its own, to
+//! measure how often the bits would be found without a page walk.
 
 use crate::ids::VmId;
+use crate::paged::PagedTable;
 
 /// The sharing type of a host-physical page, as virtual snooping
 /// distinguishes them (Section IV-A).
@@ -80,18 +83,22 @@ impl SharingType {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SharingDirectory {
-    entries: HashMap<u64, PageInfo>,
-    /// Monotonic version, bumped on every mutation; TLBs use it to discard
-    /// stale cached types (modelling the TLB shoot-down the hypervisor must
-    /// perform when it changes a page's sharing bits).
+    /// Per page, [`SharingType::encode`] plus [`REGISTERED`]; zero for
+    /// pages never registered. One byte a page keeps the per-access
+    /// lookup dense.
+    types: PagedTable<u8>,
+    /// Per page, the owning VM.
+    owners: PagedTable<Option<VmId>>,
+    /// Number of registered pages.
+    len: usize,
+    /// Monotonic version, bumped on every mutation; a [`TypeTlb`] uses it
+    /// to discard stale cached types (modelling the TLB shoot-down the
+    /// hypervisor must perform when it changes a page's sharing bits).
     version: u64,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct PageInfo {
-    sharing: SharingType,
-    owner: Option<VmId>,
-}
+/// Set in a page's type byte once the page is registered.
+const REGISTERED: u8 = 0b100;
 
 impl SharingDirectory {
     /// Creates an empty directory.
@@ -102,21 +109,22 @@ impl SharingDirectory {
     /// Registers (or re-registers) a page with a sharing type and an
     /// optional owning VM.
     pub fn register(&mut self, page: u64, sharing: SharingType, owner: Option<VmId>) {
-        self.entries.insert(page, PageInfo { sharing, owner });
+        let t = self.types.get_mut(page);
+        self.len += usize::from(*t == 0);
+        *t = REGISTERED | sharing.encode();
+        *self.owners.get_mut(page) = owner;
         self.version += 1;
     }
 
     /// Returns the sharing type of `page` (default: VM-private).
     pub fn sharing(&self, page: u64) -> SharingType {
-        self.entries
-            .get(&page)
-            .map_or(SharingType::default(), |e| e.sharing)
+        SharingType::decode(self.types.get(page) & !REGISTERED).unwrap_or_default()
     }
 
     /// Returns the VM recorded as owner of `page`, if any. Shared pages
     /// have no single owner.
     pub fn owner(&self, page: u64) -> Option<VmId> {
-        self.entries.get(&page).and_then(|e| e.owner)
+        self.owners.get(page)
     }
 
     /// Returns the current mutation version (used for TLB invalidation).
@@ -126,12 +134,12 @@ impl SharingDirectory {
 
     /// Returns the number of registered pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Returns `true` if no page has been registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 }
 
@@ -160,8 +168,9 @@ impl TlbStats {
 ///
 /// Real hardware finds the two sharing bits in the TLB entry during address
 /// translation; this model exists to measure how often the bits would be
-/// available without a page walk, and to force directory consultation after
-/// hypervisor updates.
+/// available without a page walk. The simulator does not consult it: every
+/// lookup returns the directory's current answer, so the simulator reads
+/// [`SharingDirectory::sharing`] directly.
 #[derive(Clone, Debug)]
 pub struct TypeTlb {
     slots: Vec<Option<TlbEntry>>,
