@@ -516,7 +516,9 @@ fn swap_vcpus_inline(
     a: VcpuId,
     b: VcpuId,
 ) {
-    let (ca, cb) = match hv.try_swap(cycle, a, b) {
+    let swapped = hv.try_swap(cycle, a, b);
+    hv.clear_relocations();
+    let (ca, cb) = match swapped {
         Ok(cores) => cores,
         Err(UnplacedVcpu(vcpu)) => {
             *diagnostics_total += 1;

@@ -774,7 +774,7 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod prop {
     use super::*;
     use proptest::prelude::*;

@@ -175,7 +175,7 @@ impl Journal {
             std::fs::create_dir_all(parent)?;
         }
         if !fresh {
-            Self::repair_tail(path)?;
+            repair_tail(path)?;
         }
         let file = OpenOptions::new()
             .create(true)
@@ -193,25 +193,6 @@ impl Journal {
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Truncates a torn trailing line — a crash mid-append leaves the
-    /// file without a final newline — so the next append starts on a
-    /// fresh line instead of gluing onto the torn bytes and corrupting
-    /// itself too. A missing file needs no repair.
-    fn repair_tail(path: &Path) -> std::io::Result<()> {
-        let mut f = match OpenOptions::new().read(true).write(true).open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        if bytes.last().is_some_and(|&b| b != b'\n') {
-            let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-            f.set_len(keep as u64)?;
-        }
-        Ok(())
     }
 
     /// Appends one entry and flushes it to the OS, so a SIGKILL
@@ -254,34 +235,18 @@ impl Journal {
     ///
     /// Propagates filesystem errors other than `NotFound`.
     pub fn load_with_warnings(path: &Path) -> std::io::Result<(Vec<JournalEntry>, Vec<String>)> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok((Vec::new(), Vec::new()))
-            }
-            Err(e) => return Err(e),
-        }
         let mut entries = Vec::new();
         let mut warnings = Vec::new();
-        for (lineno, raw) in bytes.split(|&b| b == b'\n').enumerate() {
-            let line = String::from_utf8_lossy(raw);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
+        for_each_line(path, |lineno, line| {
             match JournalEntry::from_json_line(line) {
                 Some(e) => entries.push(e),
                 None => warnings.push(format!(
-                    "journal {}: line {} is unparseable (crash mid-write?); \
+                    "journal {}: line {lineno} is unparseable (crash mid-write?); \
                      skipping it — the affected job will re-run",
                     path.display(),
-                    lineno + 1,
                 )),
             }
-        }
+        })?;
         Ok((entries, warnings))
     }
 
@@ -313,6 +278,51 @@ impl Journal {
         }
         std::fs::write(path, out)
     }
+}
+
+/// Truncates a torn trailing line — a crash mid-append leaves the file
+/// without a final newline — so the next append starts on a fresh line
+/// instead of gluing onto the torn bytes and corrupting itself too. A
+/// missing file needs no repair. Every append-only JSONL log (this
+/// journal and the service WAL) repairs on reopen with this.
+pub(crate) fn repair_tail(path: &Path) -> std::io::Result<()> {
+    let mut f = match OpenOptions::new().read(true).write(true).open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    let mut bytes = Vec::new();
+    f.read_to_end(&mut bytes)?;
+    if bytes.last().is_some_and(|&b| b != b'\n') {
+        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        f.set_len(keep as u64)?;
+    }
+    Ok(())
+}
+
+/// Calls `f` with the 1-based number and trimmed text of every non-blank
+/// line of a JSONL log; a missing file has no lines. The file is read as
+/// raw bytes and decoded lossily, so a write cut short inside a
+/// multi-byte character costs only its own line.
+///
+/// # Errors
+///
+/// Propagates filesystem errors other than `NotFound`.
+pub(crate) fn for_each_line(path: &Path, mut f: impl FnMut(usize, &str)) -> std::io::Result<()> {
+    let mut bytes = Vec::new();
+    match File::open(path) {
+        Ok(mut file) => file.read_to_end(&mut bytes)?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+        let line = String::from_utf8_lossy(raw);
+        let line = line.trim();
+        if !line.is_empty() {
+            f(i + 1, line);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@ mod supervisor;
 pub(crate) use cancel::with_current;
 pub use cancel::{poll_current, CancelToken, Cancelled};
 pub use job::{Job, JobCtx, JobError, JobFn, JobRecord, JobSpec};
+pub(crate) use journal::{for_each_line, repair_tail};
 pub use journal::{Journal, JournalEntry};
 pub use repro::CrashReproducer;
 pub use scatter::{scatter, set_shard_workers, shard_workers};

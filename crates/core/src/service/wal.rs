@@ -39,12 +39,12 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
 use crate::runner::json::Value;
-use crate::runner::JobError;
+use crate::runner::{for_each_line, repair_tail, JobError};
 
 /// One write-ahead log record.
 #[derive(Clone, Debug, PartialEq)]
@@ -351,23 +351,10 @@ impl Wal {
     ///
     /// Propagates filesystem errors other than `NotFound`.
     pub fn load(path: &Path) -> std::io::Result<Vec<WalRecord>> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => f.read_to_end(&mut bytes)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
         let mut records = Vec::new();
-        for raw in bytes.split(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(raw);
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(r) = WalRecord::from_json_line(line) {
-                records.push(r);
-            }
-        }
+        for_each_line(path, |_, line| {
+            records.extend(WalRecord::from_json_line(line))
+        })?;
         Ok(records)
     }
 
@@ -517,23 +504,6 @@ impl Wal {
         }
         Ok(())
     }
-}
-
-/// Truncates a torn trailing line so the next append starts clean
-/// (identical contract to the journal's repair-on-reopen).
-fn repair_tail(path: &Path) -> std::io::Result<()> {
-    let mut f = match OpenOptions::new().read(true).write(true).open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    f.read_to_end(&mut bytes)?;
-    if bytes.last().is_some_and(|&b| b != b'\n') {
-        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-        f.set_len(keep as u64)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

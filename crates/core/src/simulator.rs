@@ -557,7 +557,9 @@ impl Simulator {
         self.lane.maps.map(vm.index())
     }
 
-    /// The hypervisor state (vCPU placement).
+    /// The hypervisor state (vCPU placement). Its relocation log is not
+    /// kept: the simulator clears it on construction and on every vCPU
+    /// swap, so [`Hypervisor::relocations`] is always empty here.
     pub fn hypervisor(&self) -> &Hypervisor {
         &self.hv
     }
@@ -954,7 +956,11 @@ impl Simulator {
     /// inconsistency is recorded in [`Simulator::diagnostics`], and the
     /// error is returned for callers that want to react.
     pub fn swap_vcpus(&mut self, a: VcpuId, b: VcpuId) -> Result<(), SimError> {
-        let (ca, cb) = match self.hv.try_swap(self.cycle, a, b) {
+        let swapped = self.hv.try_swap(self.cycle, a, b);
+        // Nothing reads the relocation log; clearing it keeps its capacity,
+        // so a migrating run neither grows it nor allocates per swap.
+        self.hv.clear_relocations();
+        let (ca, cb) = match swapped {
             Ok(cores) => cores,
             Err(UnplacedVcpu(vcpu)) => {
                 let e = SimError::VcpuNotPlaced {

@@ -238,7 +238,6 @@ fn forks_are_repeatable() {
     assert_eq!(first.2, second.2);
 }
 
-#[cfg(feature = "proptest")]
 mod randomized {
     use super::*;
     use proptest::prelude::*;

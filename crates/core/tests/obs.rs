@@ -466,7 +466,6 @@ fn epoch_deltas_sum_to_final_aggregate() {
     assert_epoch_deltas_conserve(1, 13, 3, true);
 }
 
-#[cfg(feature = "proptest")]
 mod prop {
     use proptest::prelude::*;
 

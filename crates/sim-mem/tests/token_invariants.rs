@@ -11,9 +11,8 @@
 //!    guarantee behind persistent requests), even right after a storm of
 //!    failed partial-destination transients (the safe-retry property).
 //!
-//! The deterministic seeded-loop tests below always run; the randomized
-//! property-based versions live in the [`randomized`] module, gated
-//! behind `cargo test --features proptest`.
+//! The deterministic seeded-loop tests below come with randomized
+//! property-based versions in the [`randomized`] module.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -163,7 +162,6 @@ fn broadcast_recovers_after_failed_transient_storm() {
 
 /// Randomized property-based variants of the deterministic tests above
 /// (vendored generation-only proptest shim; no shrinking).
-#[cfg(feature = "proptest")]
 mod randomized {
     use super::*;
     use proptest::prelude::*;

@@ -1,6 +1,3 @@
-//! Gated behind the `proptest` feature: run with `cargo test --features proptest`.
-#![cfg(feature = "proptest")]
-
 //! Property-based tests of [`TrafficStats`] sharding: the parallel
 //! engine records each shard's traffic into a private `TrafficStats`
 //! lens and folds the lenses back with [`TrafficStats::merge`], so a

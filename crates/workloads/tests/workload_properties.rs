@@ -1,6 +1,3 @@
-//! Gated behind the `proptest` feature: run with `cargo test --features proptest`.
-#![cfg(feature = "proptest")]
-
 //! Property-based tests of the workload generators.
 
 use proptest::prelude::*;

@@ -5,26 +5,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --workspace"
-# --workspace matters: the soak/all/serve binaries used below live in
-# crates/bench, which a bare root-package build would not (re)compile —
-# the smokes would then run stale binaries.
-cargo build --release --workspace
+echo "==> cargo build --release"
+# The root manifest's default-members cover every package, so this also
+# (re)builds the soak/all/serve binaries in crates/bench that the smokes
+# below run.
+cargo build --release
 
-echo "==> cargo test -q --workspace (deterministic suites)"
-cargo test -q --workspace
-
-echo "==> cargo test -q --workspace --features proptest (randomized suites)"
-cargo test -q --workspace --features proptest
+echo "==> cargo test -q (every package, property tests included)"
+cargo test -q
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy (default features)"
+echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> cargo clippy (--features proptest)"
-cargo clippy --workspace --all-targets --features proptest -- -D warnings
 
 echo "==> robustness soak (fault injection + invariant checker)"
 # Traced: telemetry/flight/epoch files land in a side directory without

@@ -10,6 +10,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use sim_vm::{VcpuId, VmId};
 use vsnoop::{ContentPolicy, FilterPolicy, Simulator, SystemConfig};
 use workloads::{profile, Workload, WorkloadConfig};
 
@@ -56,11 +59,17 @@ static GLOBAL: Counting = Counting;
 const WARM_ROUNDS: u64 = 20_000;
 const WINDOW_ROUNDS: u64 = 20_000;
 
-/// Allocations of a `WINDOW_ROUNDS`-round pinned window under `policy`,
-/// after a `WARM_ROUNDS`-round warm-up, on the small test machine.
-fn window_allocations(policy: FilterPolicy) -> u64 {
+/// Allocations of a `WINDOW_ROUNDS`-round window after a
+/// `WARM_ROUNDS`-round warm-up, on the small test machine. The first
+/// policy is the primary lane and the rest ride along as filter lanes.
+/// With `migrate`, two vCPUs of different VMs exchange cores every
+/// 0.1 ms, as in the paper's migration experiments.
+fn window_allocations(policies: &[FilterPolicy], migrate: bool) -> u64 {
     let cfg = SystemConfig::small_test();
-    let mut sim = Simulator::new(cfg, policy, ContentPolicy::Broadcast);
+    let mut sim = Simulator::new(cfg, policies[0], ContentPolicy::Broadcast);
+    // The serial step is what is counted, whatever the engine knob says.
+    sim.set_engine_workers(1);
+    sim.add_filter_lanes(&policies[1..]).unwrap();
     let mut wl = Workload::homogeneous(
         profile("ocean").unwrap(),
         cfg.n_vms,
@@ -70,21 +79,64 @@ fn window_allocations(policy: FilterPolicy) -> u64 {
             ..Default::default()
         },
     );
-    sim.run(&mut wl, WARM_ROUNDS);
+    let mut rng = SmallRng::seed_from_u64(0x5A4B);
+    let mut pick = move |_| {
+        let a = rng.gen_range(0..cfg.n_vms) as u16;
+        let b = (a + rng.gen_range(1..cfg.n_vms) as u16) % cfg.n_vms as u16;
+        (
+            VcpuId::new(VmId::new(a), rng.gen_range(0..cfg.vcpus_per_vm)),
+            VcpuId::new(VmId::new(b), rng.gen_range(0..cfg.vcpus_per_vm)),
+        )
+    };
+    let period = cfg.cycles_per_ms / 10;
+    let mut run = |sim: &mut Simulator, rounds| {
+        if migrate {
+            sim.run_with_migration(&mut wl, rounds, period, &mut pick);
+        } else {
+            sim.run(&mut wl, rounds);
+        }
+    };
+    run(&mut sim, WARM_ROUNDS);
+    let swaps = sim.hypervisor().swaps();
     let before = ALLOCATIONS.with(Cell::get);
-    sim.run(&mut wl, WINDOW_ROUNDS);
+    run(&mut sim, WINDOW_ROUNDS);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
-    // Not vacuous: the window missed in L2 and so ran token transactions.
+    // Not vacuous: the window missed in L2 and so ran token transactions,
+    // and a migrating window really moved vCPUs.
     assert!(sim.lane_stats(0).l2_misses > 0);
+    assert_eq!(sim.hypervisor().swaps() > swaps, migrate);
     allocations
 }
 
 #[test]
 fn pinned_steps_allocate_nothing() {
-    assert_eq!(window_allocations(FilterPolicy::VsnoopBase), 0);
+    assert_eq!(window_allocations(&[FilterPolicy::VsnoopBase], false), 0);
 }
 
 #[test]
 fn broadcast_steps_allocate_nothing() {
-    assert_eq!(window_allocations(FilterPolicy::TokenBroadcast), 0);
+    assert_eq!(
+        window_allocations(&[FilterPolicy::TokenBroadcast], false),
+        0
+    );
+}
+
+#[test]
+fn migrating_steps_allocate_nothing() {
+    assert_eq!(window_allocations(&[FilterPolicy::VsnoopBase], true), 0);
+}
+
+#[test]
+fn migrating_counter_steps_allocate_nothing() {
+    assert_eq!(window_allocations(&[FilterPolicy::Counter], true), 0);
+}
+
+#[test]
+fn migrating_three_lane_steps_allocate_nothing() {
+    let lanes = [
+        FilterPolicy::VsnoopBase,
+        FilterPolicy::Counter,
+        FilterPolicy::TokenBroadcast,
+    ];
+    assert_eq!(window_allocations(&lanes, true), 0);
 }

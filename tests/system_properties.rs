@@ -3,9 +3,8 @@
 //! observability machinery (checker, fault-free plans) must never perturb
 //! the simulated results.
 //!
-//! The deterministic tests below always run; the randomized
-//! property-based versions live in the [`randomized`] module, gated
-//! behind `cargo test --features proptest`.
+//! The deterministic tests below come with randomized property-based
+//! versions in the [`randomized`] module.
 
 use virtual_snooping::prelude::*;
 use virtual_snooping::sim_mem::BlockAddr;
@@ -257,7 +256,6 @@ fn checker_and_empty_plan_do_not_perturb_results() {
 
 /// Randomized property-based variants (vendored generation-only proptest
 /// shim; no shrinking).
-#[cfg(feature = "proptest")]
 mod randomized {
     use super::*;
     use proptest::prelude::*;
