@@ -680,7 +680,8 @@ impl BlockView {
     ///
     /// Exact for any `first`: tokens are conserved and a valid line holds
     /// at least one, so a complete count proves no other cache holds the
-    /// block.
+    /// block. For the same reason a block whose tokens are all at memory
+    /// is not probed at all.
     pub(super) fn probe(
         l2: &[Cache],
         ledger: &dyn TokenLedger,
@@ -697,6 +698,9 @@ impl BlockView {
             have: None,
             total: ledger.total_tokens(),
         };
+        if view.mem_tokens == view.total {
+            return view;
+        }
         let all = valid_core_mask(l2.len());
         let seen = view.mem_tokens + view.visit(l2, requester, block, first & all);
         if seen < view.total {

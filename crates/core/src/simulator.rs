@@ -1032,9 +1032,11 @@ impl Simulator {
             let mode = MapCorruption::ALL[f.rng.gen_range(0..MapCorruption::ALL.len())];
             match mode {
                 MapCorruption::ClearBit => {
-                    let bits: Vec<CoreId> = cur.cores().collect();
-                    if !bits.is_empty() {
-                        let victim = bits[f.rng.gen_range(0..bits.len())];
+                    // The k-th member, drawn without collecting the set.
+                    let n = cur.mask().count_ones() as usize;
+                    if n > 0 {
+                        let k = f.rng.gen_range(0..n);
+                        let victim = cur.cores().nth(k).expect("k < member count");
                         let mut m = cur;
                         m.remove(victim);
                         self.lane.maps.corrupt(vm, m);
@@ -1247,8 +1249,9 @@ impl Simulator {
         let tag = LineTag::from(access.agent);
         let mode = self.read_mode(access.agent, sharing);
         // For region tracking: whether the requester already held the
-        // block (an upgrade does not change its region count).
-        let requester_had = self.l2[c].probe(block).is_some();
+        // block (an upgrade does not change its region count). Only the
+        // RegionScout branches read it.
+        let requester_had = self.region_filter.is_some() && self.l2[c].probe(block).is_some();
         // Extra lanes replay this transaction against the block as it is
         // now, before the token operation changes it.
         if !self.extra_lanes.is_empty() {
@@ -1535,9 +1538,14 @@ impl Simulator {
             return reference_path::classify_holders(self, block, vm);
         }
         let mut holders = 0u64;
-        for j in 0..self.cfg.n_cores() {
-            if self.l2[j].probe(block).is_some() {
-                holders |= 1u64 << j;
+        // Tokens all at memory prove that no cache holds the block
+        // (`TokenMemory::all_home`).
+        let ledger = self.protocol.ledger();
+        if ledger.memory_tokens(block) < ledger.total_tokens() {
+            for j in 0..self.cfg.n_cores() {
+                if self.l2[j].probe(block).is_some() {
+                    holders |= 1u64 << j;
+                }
             }
         }
         if holders == 0 {

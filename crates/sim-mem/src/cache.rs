@@ -16,6 +16,9 @@ use sim_vm::VmId;
 use crate::addr::{BlockAddr, BLOCK_BYTES};
 use crate::line::{CacheLine, LineTag};
 
+/// Largest associativity: a set's way match is one bit per way of a `u64`.
+const MAX_WAYS: usize = 64;
+
 /// Geometry of a cache: capacity, associativity, block size.
 ///
 /// # Examples
@@ -45,7 +48,8 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics unless `bytes` is a positive multiple of
-    /// `ways * BLOCK_BYTES` and the resulting set count is a power of two.
+    /// `ways * BLOCK_BYTES`, the resulting set count is a power of two, and
+    /// `ways` is at most 64.
     pub fn new(bytes: u64, ways: usize) -> Self {
         Self::try_new(bytes, ways).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -59,6 +63,9 @@ impl CacheGeometry {
     pub fn try_new(bytes: u64, ways: usize) -> Result<Self, &'static str> {
         if ways == 0 {
             return Err("associativity must be positive");
+        }
+        if ways > MAX_WAYS {
+            return Err("associativity must be at most 64");
         }
         let line_bytes = ways as u64 * BLOCK_BYTES;
         if bytes == 0 || !bytes.is_multiple_of(line_bytes) {
@@ -128,10 +135,14 @@ impl CacheStats {
 /// bit: the LRU victim is the minimum `last_use` *within one set*, and a
 /// per-set clock stamps the set's touches with strictly increasing values
 /// in exactly the order the global clock did.
+///
+/// Stamps are `u32`, which keeps a [`CacheLine`] at 24 bytes. Before the
+/// clock would wrap, a cold path rewrites the set's stamps to `1..=len`
+/// in their existing order, so victims stay exactly LRU.
 #[derive(Clone, Debug, Default)]
 pub struct CacheSet {
     lines: Vec<CacheLine>,
-    clock: u64,
+    clock: u32,
 }
 
 /// What [`CacheSet::insert_line`] did, so the caller (full cache or
@@ -152,22 +163,64 @@ impl CacheSet {
         &self.lines
     }
 
+    /// The way holding `block`. One pass over every way sets one bit per
+    /// match, with no early exit; a set holds a block at most once, so the
+    /// lowest set bit is the way.
+    #[inline(always)]
+    fn way(&self, block: BlockAddr) -> Option<usize> {
+        let mut hits = 0u64;
+        for (i, l) in self.lines.iter().enumerate() {
+            hits |= u64::from(l.block == block) << i;
+        }
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
     /// Stats-free lookup.
     fn find(&self, block: BlockAddr) -> Option<&CacheLine> {
-        self.lines.iter().find(|l| l.block == block)
+        self.lines.get(self.way(block)?)
     }
 
     /// Stats-free mutable lookup.
     fn find_mut(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
-        self.lines.iter_mut().find(|l| l.block == block)
+        let way = self.way(block)?;
+        self.lines.get_mut(way)
+    }
+
+    /// Advances the set clock and returns the new stamp.
+    #[inline(always)]
+    fn tick(&mut self) -> u32 {
+        if self.clock == u32::MAX {
+            self.renumber();
+        }
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Rewrites the stamps to `1..=len` in their existing order and winds
+    /// the clock back to `len`. Stamps in a set are distinct, so each
+    /// line's new stamp is one plus the number of lines used before it.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self) {
+        let mut rank = [0u32; MAX_WAYS];
+        for (r, a) in rank.iter_mut().zip(&self.lines) {
+            *r = 1 + self
+                .lines
+                .iter()
+                .filter(|b| b.last_use < a.last_use)
+                .count() as u32;
+        }
+        for (l, r) in self.lines.iter_mut().zip(rank) {
+            l.last_use = r;
+        }
+        self.clock = self.lines.len() as u32;
     }
 
     /// The LRU-touching half of an `access`: bumps the set clock and
     /// re-stamps the line on a hit. Returns the line when found.
     fn touch(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
-        self.clock += 1;
-        let clock = self.clock;
-        let line = self.lines.iter_mut().find(|l| l.block == block)?;
+        let clock = self.tick();
+        let line = self.find_mut(block)?;
         line.last_use = clock;
         Some(line)
     }
@@ -176,9 +229,8 @@ impl CacheSet {
     /// the in-place-replace / append / LRU-evict policy. Residence and
     /// statistics accounting is the caller's job (see [`InsertOutcome`]).
     pub(crate) fn insert_line(&mut self, mut line: CacheLine, ways: usize) -> InsertOutcome {
-        self.clock += 1;
-        line.last_use = self.clock;
-        if let Some(existing) = self.lines.iter_mut().find(|l| l.block == line.block) {
+        line.last_use = self.tick();
+        if let Some(existing) = self.find_mut(line.block) {
             let old_tag = existing.tag;
             *existing = line;
             return InsertOutcome::Replaced(old_tag);
@@ -200,8 +252,8 @@ impl CacheSet {
 
     /// Removes and returns the line caching `block`, if present.
     pub(crate) fn remove_line(&mut self, block: BlockAddr) -> Option<CacheLine> {
-        let pos = self.lines.iter().position(|l| l.block == block)?;
-        Some(self.lines.swap_remove(pos))
+        let way = self.way(block)?;
+        Some(self.lines.swap_remove(way))
     }
 }
 
@@ -693,6 +745,67 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = CacheGeometry::new(3 * 64, 1);
+    }
+
+    /// Stamps renumber before the `u32` clock wraps. A set whose clock
+    /// restarts near the top every 150 ops wraps four times; every
+    /// victim is still the least recently used block of a recency-list
+    /// model, and the slot order matches a set whose clock starts at 0.
+    #[test]
+    fn stamp_renumbering_keeps_lru_victims_and_slot_order() {
+        const WAYS: usize = 4;
+        let (mut near_top, mut low) = (CacheSet::default(), CacheSet::default());
+        // Least recently used first.
+        let mut recency: Vec<BlockAddr> = Vec::new();
+        let mut wraps = 0;
+        for op in 0..600u64 {
+            if op % 150 == 0 {
+                // Every stamp is below the new clock: the order holds.
+                near_top.clock = u32::MAX - 100;
+            }
+            let clock = near_top.clock;
+            let block = BlockAddr::new((op * 5 + op / 7) % 9);
+            let held = recency.iter().position(|&b| b == block);
+            match op % 11 {
+                10 => {
+                    let removed = near_top.remove_line(block).map(|l| l.block);
+                    assert_eq!(removed, low.remove_line(block).map(|l| l.block));
+                    assert_eq!(removed.is_some(), held.is_some());
+                    recency.retain(|&b| b != block);
+                }
+                k if k % 3 == 0 => {
+                    let hit = near_top.touch(block).is_some();
+                    assert_eq!(hit, low.touch(block).is_some());
+                    assert_eq!(hit, held.is_some());
+                    if let Some(i) = held {
+                        recency.remove(i);
+                        recency.push(block);
+                    }
+                }
+                _ => {
+                    let victim = |out| match out {
+                        InsertOutcome::Evicted(v) => Some(v.block),
+                        _ => None,
+                    };
+                    let v = victim(near_top.insert_line(line(block.index(), 0), WAYS));
+                    assert_eq!(v, victim(low.insert_line(line(block.index(), 0), WAYS)));
+                    let expected = match held {
+                        Some(i) => {
+                            recency.remove(i);
+                            None
+                        }
+                        None if recency.len() == WAYS => Some(recency.remove(0)),
+                        None => None,
+                    };
+                    assert_eq!(v, expected, "victim at op {op}");
+                    recency.push(block);
+                }
+            }
+            let order = |s: &CacheSet| s.lines().iter().map(|l| l.block).collect::<Vec<_>>();
+            assert_eq!(order(&near_top), order(&low), "slot order at op {op}");
+            wraps += usize::from(near_top.clock < clock);
+        }
+        assert_eq!(wraps, 4);
     }
 
     /// The shard view must be operation-for-operation identical to the

@@ -122,9 +122,14 @@ pub struct CacheLine {
     pub state: TokenState,
     /// VM / host tag for residence accounting.
     pub tag: LineTag,
-    /// Last-use timestamp maintained by the cache for LRU replacement.
-    pub last_use: u64,
+    /// Last-use timestamp maintained by the cache for LRU replacement:
+    /// a per-set clock, renumbered before it would wrap.
+    pub last_use: u32,
 }
+
+// A line fits 24 bytes: a set's way scan reads a quarter less memory than
+// at 32.
+const _: () = assert!(std::mem::size_of::<CacheLine>() == 24);
 
 impl CacheLine {
     /// Creates a line; the cache sets `last_use` on insertion.

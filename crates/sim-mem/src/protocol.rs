@@ -127,6 +127,13 @@ impl TokenMemory {
         self.decode(self.away.get(block.index())).0
     }
 
+    /// Whether memory holds every token of `block`. Tokens are conserved
+    /// and a valid line holds at least one, so then no cache holds the
+    /// block and a snoop of any cache would miss.
+    pub fn all_home(&self, block: BlockAddr) -> bool {
+        self.away.get(block.index()) & !OWNER_AWAY == 0
+    }
+
     /// Whether memory holds the owner token for `block` (and therefore has
     /// clean, authoritative data).
     pub fn has_owner(&self, block: BlockAddr) -> bool {
@@ -549,10 +556,15 @@ impl TokenProtocol {
         // memory. Under `CleanShared` (read-only pages), any valid copy
         // may additionally respond, and memory may respond without the
         // owner token. One ascending pass finds both the (unique) owner
-        // and the lowest-indexed fallback holder.
+        // and the lowest-indexed fallback holder; it is skipped when the
+        // ledger proves that no cache holds the block.
         let mut owner_at = None;
         let mut first_holder = None;
-        let mut it = dests;
+        let mut it = if self.memory.all_home(block) {
+            0
+        } else {
+            dests
+        };
         while it != 0 {
             let c = it.trailing_zeros() as usize;
             it &= it - 1;
@@ -709,7 +721,14 @@ impl TokenProtocol {
         );
         let total = self.total_tokens();
         let snooped = dests.count_ones();
-        let existing = caches.probe(requester, block).map(|l| l.state);
+        // When memory holds every token no cache holds the block: the
+        // requester has no copy and no destination has a line to remove.
+        let cached = !self.memory.all_home(block);
+        let existing = if cached {
+            caches.probe(requester, block).map(|l| l.state)
+        } else {
+            None
+        };
         let have = existing.map_or(0, |s| s.tokens);
         let had_data = existing.is_some();
 
@@ -719,7 +738,7 @@ impl TokenProtocol {
         let mut token_repliers = 0u64;
         let mut invalidated = 0u64;
 
-        let mut it = dests;
+        let mut it = if cached { dests } else { 0 };
         while it != 0 {
             let c = it.trailing_zeros() as usize;
             it &= it - 1;
@@ -758,7 +777,9 @@ impl TokenProtocol {
                 collected_owner || existing.is_some_and(|s| s.owner),
                 "all tokens collected must include the owner token"
             );
-            caches.remove(requester, block);
+            if had_data {
+                caches.remove(requester, block);
+            }
             let (evicted, evicted_dirty) = self.fill(
                 caches,
                 requester,
@@ -823,7 +844,8 @@ impl TokenProtocol {
 
     /// Verifies token conservation for `block`: the tokens in all caches
     /// plus memory equal the total, and exactly one party (a cache or
-    /// memory) holds the owner token.
+    /// memory) holds the owner token. It probes every cache rather than
+    /// trust [`TokenMemory::all_home`]: it is the oracle for that premise.
     pub fn check_invariant(&self, caches: &[Cache], block: BlockAddr) -> bool {
         let cached: u32 = caches
             .iter()

@@ -31,9 +31,17 @@ fn dests_from_mask(core: usize, mask: u8) -> Vec<usize> {
 
 fn check_all(caches: &[Cache], tp: &TokenProtocol) {
     for b in 0..N_BLOCKS {
+        let b = BlockAddr::new(b);
         assert!(
-            tp.check_invariant(caches, BlockAddr::new(b)),
-            "token invariant broken for block {b}"
+            tp.check_invariant(caches, b),
+            "token invariant broken for block {b:?}"
+        );
+        // The premise of the protocol's ledger skip: tokens away from
+        // memory exactly when some cache holds the block.
+        assert_eq!(
+            tp.memory_tokens(b) < tp.total_tokens(),
+            caches.iter().any(|c| c.probe(b).is_some()),
+            "ledger and caches disagree on whether {b:?} is cached"
         );
     }
     for (i, c) in caches.iter().enumerate() {

@@ -75,6 +75,14 @@ VSNOOP_SCALE=quick ./target/release/all --jobs 1 --workers 4 --dir "$SHARD_DIR" 
 cmp "$SHARD_DIR/campaign.txt" "$CLEAN_DIR/campaign.txt"
 cmp "$SHARD_DIR/merged.jsonl" "$CLEAN_DIR/merged.jsonl"
 
+echo "==> figure output (full scale, byte-identical to bench_results_full.txt)"
+# The fixed point of every simulator change: the fault-free full-scale
+# campaign's stdout is the committed file, byte for byte (~80 s at
+# --jobs 2 on a 2-CPU host).
+FULL_DIR=target/campaign/verify-full
+rm -rf "$FULL_DIR"
+./target/release/all --jobs 2 --dir "$FULL_DIR" | cmp - bench_results_full.txt
+
 echo "==> batched-engine smoke (VSNOOP_ENGINE_WORKERS=4 vs serial byte-identity)"
 # Orthogonal to --workers (which shards *across* cells), the batched
 # engine parallelizes *inside* each eligible simulation (DESIGN.md "The

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_vm::{VcpuId, VmId};
-use vsnoop::{ContentPolicy, FilterPolicy, Simulator, SystemConfig};
+use vsnoop::{ContentPolicy, FaultPlan, FilterPolicy, Simulator, SystemConfig};
 use workloads::{profile, Workload, WorkloadConfig};
 
 struct Counting;
@@ -63,10 +63,14 @@ const WINDOW_ROUNDS: u64 = 20_000;
 /// `WARM_ROUNDS`-round warm-up, on the small test machine. The first
 /// policy is the primary lane and the rest ride along as filter lanes.
 /// With `migrate`, two vCPUs of different VMs exchange cores every
-/// 0.1 ms, as in the paper's migration experiments.
-fn window_allocations(policies: &[FilterPolicy], migrate: bool) -> u64 {
+/// 0.1 ms, as in the paper's migration experiments. With `faults`, the
+/// plan injects its faults throughout both rounds (the checker stays off).
+fn window_allocations(policies: &[FilterPolicy], migrate: bool, faults: Option<FaultPlan>) -> u64 {
     let cfg = SystemConfig::small_test();
     let mut sim = Simulator::new(cfg, policies[0], ContentPolicy::Broadcast);
+    if let Some(plan) = faults {
+        sim.set_fault_plan(plan);
+    }
     // The serial step is what is counted, whatever the engine knob says.
     sim.set_engine_workers(1);
     sim.add_filter_lanes(&policies[1..]).unwrap();
@@ -110,25 +114,31 @@ fn window_allocations(policies: &[FilterPolicy], migrate: bool) -> u64 {
 
 #[test]
 fn pinned_steps_allocate_nothing() {
-    assert_eq!(window_allocations(&[FilterPolicy::VsnoopBase], false), 0);
+    assert_eq!(
+        window_allocations(&[FilterPolicy::VsnoopBase], false, None),
+        0
+    );
 }
 
 #[test]
 fn broadcast_steps_allocate_nothing() {
     assert_eq!(
-        window_allocations(&[FilterPolicy::TokenBroadcast], false),
+        window_allocations(&[FilterPolicy::TokenBroadcast], false, None),
         0
     );
 }
 
 #[test]
 fn migrating_steps_allocate_nothing() {
-    assert_eq!(window_allocations(&[FilterPolicy::VsnoopBase], true), 0);
+    assert_eq!(
+        window_allocations(&[FilterPolicy::VsnoopBase], true, None),
+        0
+    );
 }
 
 #[test]
 fn migrating_counter_steps_allocate_nothing() {
-    assert_eq!(window_allocations(&[FilterPolicy::Counter], true), 0);
+    assert_eq!(window_allocations(&[FilterPolicy::Counter], true, None), 0);
 }
 
 #[test]
@@ -138,5 +148,15 @@ fn migrating_three_lane_steps_allocate_nothing() {
         FilterPolicy::Counter,
         FilterPolicy::TokenBroadcast,
     ];
-    assert_eq!(window_allocations(&lanes, true), 0);
+    assert_eq!(window_allocations(&lanes, true, None), 0);
+}
+
+/// The benchmark's `storm` shape without its checker: every fault class
+/// armed while vCPUs migrate every 0.1 ms.
+#[test]
+fn storm_steps_allocate_nothing() {
+    assert_eq!(
+        window_allocations(&[FilterPolicy::Counter], true, Some(FaultPlan::all(7))),
+        0
+    );
 }
