@@ -133,16 +133,16 @@ pub struct InvariantChecker {
     /// Membership test for observed blocks; the open-addressed set keeps
     /// the per-transaction insert off the BTree's pointer-chasing path.
     touched: BlockMap<()>,
-    /// Insertion-ordered list of observed blocks (sorted incrementally
-    /// into `sorted_blocks` when a sweep needs deterministic order).
-    touched_list: Vec<BlockAddr>,
-    /// Sorted copy of the first `sorted_upto` entries of `touched_list`,
-    /// refreshed by merging the unsorted tail at each sweep — cheaper
-    /// than re-sorting the whole (append-only) list every time.
+    /// Blocks first observed since the last sweep, in arrival order.
+    new_blocks: Vec<BlockAddr>,
+    /// Every block observed before the last sweep, sorted. Each sweep
+    /// merges the sorted `new_blocks` in — cheaper than re-sorting the
+    /// whole list every time.
     sorted_blocks: Vec<BlockAddr>,
-    sorted_upto: usize,
     /// Reusable scratch for the sweep's line-major accumulation pass.
     sweep_acc: BlockMap<SweepAcc>,
+    /// Reusable per-VM line counts for [`check_residence`](Self::check_residence).
+    residence_scan: Vec<u64>,
     violations: Vec<Violation>,
     total_violations: u64,
     block_checks: u64,
@@ -157,10 +157,10 @@ impl InvariantChecker {
         InvariantChecker {
             cfg,
             touched: BlockMap::new(),
-            touched_list: Vec::new(),
+            new_blocks: Vec::new(),
             sorted_blocks: Vec::new(),
-            sorted_upto: 0,
             sweep_acc: BlockMap::new(),
+            residence_scan: Vec::new(),
             violations: Vec::new(),
             total_violations: 0,
             block_checks: 0,
@@ -197,7 +197,7 @@ impl InvariantChecker {
 
     /// Distinct blocks observed so far.
     pub fn touched_blocks(&self) -> usize {
-        self.touched_list.len()
+        self.touched.len()
     }
 
     fn record(&mut self, cycle: u64, kind: InvariantKind, detail: String) {
@@ -232,7 +232,7 @@ impl InvariantChecker {
         let before = self.touched.len();
         self.touched.entry_mut(block.index(), ());
         if self.touched.len() > before {
-            self.touched_list.push(block);
+            self.new_blocks.push(block);
         }
         self.check_block(cycle, block, ctx);
         self.since_sweep += 1;
@@ -285,30 +285,25 @@ impl InvariantChecker {
         }
     }
 
-    /// Merges blocks touched since the last sweep into the persistent
-    /// sorted list. `touched_list` is append-only, so only the new tail
-    /// needs sorting; the merge is linear in the list length.
+    /// Merges the blocks first touched since the last sweep into the
+    /// sorted list. Only the new blocks need sorting; the merge runs from
+    /// the back of the grown list, so it is linear and needs no scratch.
     fn refresh_sorted_blocks(&mut self) {
-        if self.sorted_upto == self.touched_list.len() {
-            return;
-        }
-        let mut tail: Vec<BlockAddr> = self.touched_list[self.sorted_upto..].to_vec();
-        tail.sort_unstable();
-        let mut merged = Vec::with_capacity(self.sorted_blocks.len() + tail.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.sorted_blocks.len() && j < tail.len() {
-            if self.sorted_blocks[i] <= tail[j] {
-                merged.push(self.sorted_blocks[i]);
-                i += 1;
+        self.new_blocks.sort_unstable();
+        let (mut i, mut j) = (self.sorted_blocks.len(), self.new_blocks.len());
+        let mut k = i + j;
+        self.sorted_blocks.resize(k, BlockAddr::new(0));
+        while j > 0 {
+            k -= 1;
+            if i > 0 && self.sorted_blocks[i - 1] > self.new_blocks[j - 1] {
+                i -= 1;
+                self.sorted_blocks[k] = self.sorted_blocks[i];
             } else {
-                merged.push(tail[j]);
-                j += 1;
+                j -= 1;
+                self.sorted_blocks[k] = self.new_blocks[j];
             }
         }
-        merged.extend_from_slice(&self.sorted_blocks[i..]);
-        merged.extend_from_slice(&tail[j..]);
-        self.sorted_blocks = merged;
-        self.sorted_upto = self.touched_list.len();
+        self.new_blocks.clear();
     }
 
     /// Sweeps the whole machine: every touched block, residence counters,
@@ -401,8 +396,10 @@ impl InvariantChecker {
     /// against an actual scan of its tags.
     pub fn check_residence(&mut self, cycle: u64, ctx: &CheckerCtx<'_>) {
         let n_vms = ctx.maps.len();
+        let mut counts = std::mem::take(&mut self.residence_scan);
         for (core, cache) in ctx.l2.iter().enumerate() {
-            let mut counts = vec![0u64; n_vms];
+            counts.clear();
+            counts.resize(n_vms, 0);
             let mut host = 0u64;
             for line in cache.lines() {
                 match line.tag {
@@ -435,6 +432,7 @@ impl InvariantChecker {
                 );
             }
         }
+        self.residence_scan = counts;
     }
 
     /// Verifies the inclusive hierarchy: every L1 line has an L2 backer.

@@ -5,17 +5,14 @@
 //! long-running simulation loops poll the *current thread's* token at
 //! step boundaries via [`poll_current`]. When the watchdog fires, the
 //! next poll unwinds the job thread with the [`Cancelled`] sentinel,
-//! which the supervisor's `catch_unwind` recognizes and converts into a
-//! typed timeout error — indistinguishable from the job returning,
-//! except for the recorded cause.
+//! which the attempt path ([`super::attempt`]) reports as a cancellation.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Panic payload used to unwind a cancelled job out of arbitrarily deep
-/// simulation loops. The supervisor downcasts to this type to tell a
-/// timeout apart from a genuine job panic.
+/// simulation loops, telling a cancellation apart from a genuine panic.
 #[derive(Clone, Copy, Debug)]
 pub struct Cancelled;
 
@@ -51,42 +48,27 @@ impl CancelToken {
 thread_local! {
     /// The token of the job currently running on this thread, if any.
     static CURRENT: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-    /// Whether this thread is a supervised job thread (used to silence
-    /// the default panic hook for isolated panics).
-    static IN_JOB: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Installs `token` as the current thread's job token for the duration of
 /// `f`, and marks the thread as a supervised job thread (so the global
-/// panic hook stays quiet — the supervisor reports the failure instead).
+/// panic hook stays quiet — the caller reports the failure instead).
 pub(crate) fn with_current<R>(token: CancelToken, f: impl FnOnce() -> R) -> R {
     // Reset through a drop guard: job panics (including the Cancelled
     // sentinel) unwind straight through this frame.
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
-            IN_JOB.with(|f| f.set(false));
             CURRENT.with(|c| *c.borrow_mut() = None);
         }
     }
     CURRENT.with(|c| *c.borrow_mut() = Some(token));
-    IN_JOB.with(|f| f.set(true));
     let _reset = Reset;
     f()
 }
 
-/// Whether the current thread is running a supervised job.
-pub(crate) fn in_job() -> bool {
-    IN_JOB.with(|f| f.get())
-}
-
-/// The current thread's job token, if one is installed.
-///
-/// Thread-locals do not cross thread boundaries, so anything that fans
-/// work out to helper threads from inside a supervised job — the shard
-/// pool in [`crate::runner::scatter`] — captures the token here and
-/// re-installs it on each worker, keeping the watchdog's deadline
-/// enforceable across the whole fan-out.
+/// The current thread's job token, if one is installed (captured for
+/// helper threads by [`super::attempt::Context::capture`]).
 pub(crate) fn current() -> Option<CancelToken> {
     CURRENT.with(|c| c.borrow().clone())
 }

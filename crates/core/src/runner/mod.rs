@@ -3,14 +3,15 @@
 //! Turns every figure/table experiment into a named, seeded [`Job`]
 //! executed under supervision:
 //!
-//! - a bounded worker pool isolates each attempt on its own thread and
-//!   converts panics into typed [`JobError`]s via `catch_unwind`, so one
-//!   bad experiment cannot take down a multi-hour campaign;
-//! - a watchdog enforces per-job deadlines through cooperative
-//!   [`CancelToken`]s that the simulator's round loops poll
-//!   ([`poll_current`]); stragglers are cancelled, retried with
-//!   exponential backoff under a bounded budget, and — if they never
-//!   poll — abandoned so the campaign keeps moving;
+//! - a bounded worker pool runs each attempt on its own thread through
+//!   the [`attempt`] path, which this runner, the service scheduler and
+//!   [`scatter`] share: panics become typed [`JobError`]s, so one bad
+//!   experiment cannot take down a multi-hour campaign, and a watchdog
+//!   enforces per-job deadlines through cooperative [`CancelToken`]s
+//!   that the simulator's round loops poll ([`poll_current`]);
+//!   stragglers are cancelled, retried with exponential backoff under a
+//!   bounded budget, and — if they never poll — abandoned so the
+//!   campaign keeps moving;
 //! - every terminal result is appended to a JSON-lines checkpoint
 //!   [`Journal`] and flushed, so a killed campaign resumes with
 //!   `--resume`, re-running only unfinished jobs and producing a merged
@@ -29,6 +30,7 @@
 //! and reproducers use the small hand-rolled [`json`] codec).
 
 mod arenas;
+pub(crate) mod attempt;
 mod cancel;
 mod job;
 mod journal;
@@ -37,12 +39,10 @@ mod repro;
 mod scatter;
 mod supervisor;
 
-pub(crate) use cancel::with_current;
 pub use cancel::{poll_current, CancelToken, Cancelled};
 pub use job::{Job, JobCtx, JobError, JobFn, JobRecord, JobSpec};
 pub(crate) use journal::{for_each_line, repair_tail};
 pub use journal::{Journal, JournalEntry};
 pub use repro::CrashReproducer;
 pub use scatter::{scatter, set_shard_workers, shard_workers};
-pub(crate) use supervisor::panic_message;
 pub use supervisor::{run_campaign, CampaignReport, RunnerConfig};

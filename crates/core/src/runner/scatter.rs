@@ -7,18 +7,14 @@
 //! worker threads and returns the results **in item order**, so a
 //! sweep's output is byte-identical to the serial loop it replaces.
 //!
-//! Supervision composes with sharding:
-//!
-//! - the caller's [`CancelToken`](super::CancelToken) (if the calling
-//!   thread is a supervised job) is re-installed on every worker, so
-//!   the watchdog's deadline cuts through the whole fan-out at the
-//!   simulators' usual round-boundary polls;
-//! - a panicking shard is caught, remaining unstarted shards are
-//!   abandoned, and — after every in-flight shard has finished — the
-//!   panic of the **lowest item index** is resumed on the caller. That
-//!   is the same panic a serial loop would have surfaced, so panic
-//!   isolation and crash reproducers behave identically at any worker
-//!   count.
+//! Supervision composes with sharding: every shard runs on the attempt
+//! path ([`super::attempt`]) in the caller's re-entered context, so the
+//! watchdog's deadline cuts through the whole fan-out. A panicking shard
+//! stops unstarted shards from starting and — after every in-flight
+//! shard has finished — the panic of the **lowest item index** is
+//! resumed on the caller: the panic a serial loop would have surfaced,
+//! so panic isolation and crash reproducers behave identically at any
+//! worker count.
 //!
 //! The worker count is process-global: explicit
 //! [`set_shard_workers`] (the `all` binary's `--workers` flag), else
@@ -26,11 +22,11 @@
 //! input — runs inline on the caller thread, which is exactly the
 //! legacy serial path.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use super::cancel;
+use super::attempt::{self, Context};
 use super::json::Value;
 
 /// Explicit worker-count override; 0 means "not set" (fall through to
@@ -69,69 +65,32 @@ where
     }
 
     super::arenas::cap_per_cpu();
-    let token = cancel::current();
-    let scope = crate::obs::scope_label();
-    let tenant = crate::obs::tenant_label();
+    let ctx = Context::capture();
     let n = items.len();
-    let work: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let done: Vec<Mutex<Option<std::thread::Result<T>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let done: Mutex<Vec<Option<std::thread::Result<T>>>> =
+        Mutex::new((0..n).map(|_| None).collect());
     let abort = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         for _ in 0..workers {
-            let (work, done, next, abort, token, f, scope, tenant) =
-                (&work, &done, &next, &abort, &token, &f, &scope, &tenant);
+            let (queue, done, abort, ctx, f) = (&queue, &done, &abort, &ctx, &f);
             s.spawn(move || {
-                let drain = || loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = work[i]
-                        .lock()
-                        .expect("shard queue poisoned")
-                        .take()
-                        .expect("shard item dispatched twice");
-                    let result = catch_unwind(AssertUnwindSafe(|| f(item)));
-                    if result.is_err() {
-                        abort.store(true, Ordering::Relaxed);
-                        // The failing shard's flight ring lives on this
-                        // worker thread; dump it before the panic
-                        // travels back to the caller.
-                        if crate::obs::enabled() {
-                            crate::obs::dump_flight("shard-panic");
+                ctx.enter(|| {
+                    while !abort.load(Ordering::Relaxed) {
+                        let next = queue.lock().expect("shard queue poisoned").next();
+                        let Some((i, item)) = next else { break };
+                        let result = attempt::isolated(|| f(item), "shard-panic", "shard-panic");
+                        if result.is_err() {
+                            abort.store(true, Ordering::Relaxed);
                         }
+                        done.lock().expect("shard results poisoned")[i] = Some(result);
                     }
-                    *done[i].lock().expect("shard results poisoned") = Some(result);
-                };
-                // Re-install the supervising job's token (and the
-                // panic-hook quieting that goes with it) on this worker,
-                // and inherit its observability scope — so shard dumps
-                // land next to the job's other artifacts — and tenant
-                // label, so per-tenant accounting (warm-pool hit/miss)
-                // follows the work onto helper threads.
-                let scoped = || crate::obs::with_scope(scope, drain);
-                let labelled = || match tenant {
-                    Some(t) => crate::obs::with_tenant(t, scoped),
-                    None => scoped(),
-                };
-                match token {
-                    Some(t) => cancel::with_current(t.clone(), labelled),
-                    None => labelled(),
-                }
+                })
             });
         }
     });
-
-    let mut results: Vec<Option<std::thread::Result<T>>> = done
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("shard results poisoned"))
-        .collect();
+    let mut results = done.into_inner().expect("shard results poisoned");
 
     // Lowest-index panic wins: identical to the serial loop, where
     // later items would never have run. Shards that *did* complete
@@ -145,7 +104,7 @@ where
                 .count();
             let unstarted = results.iter().filter(|r| r.is_none()).count();
             let message = match &results[i] {
-                Some(Err(p)) => super::supervisor::panic_message(p.as_ref()),
+                Some(Err(p)) => attempt::panic_message(p.as_ref()),
                 _ => unreachable!(),
             };
             crate::obs::telemetry::emit(
@@ -179,7 +138,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{CancelToken, Cancelled};
+    use crate::runner::{cancel, CancelToken, Cancelled};
 
     /// Serializes tests that flip the process-global worker count.
     static WORKERS_LOCK: Mutex<()> = Mutex::new(());

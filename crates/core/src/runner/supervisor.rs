@@ -1,27 +1,22 @@
-//! The campaign supervisor: bounded worker pool, panic isolation,
-//! watchdog deadlines, retry/backoff, checkpointing, reproducers.
+//! The campaign supervisor: bounded worker pool, retry/backoff,
+//! checkpointing, reproducers.
 //!
-//! Each job attempt runs on its own thread under `catch_unwind`, so a
-//! panic in job 17 is converted into a typed [`JobError`] instead of
-//! tearing down the whole multi-minute campaign. A watchdog cancels
-//! attempts past their deadline through the job's [`CancelToken`]
-//! (simulation loops poll it at round boundaries); an attempt that does
-//! not respond within the grace period is *abandoned* — its thread is
-//! left to die with the process and its worker slot is reclaimed, so one
-//! truly hung job cannot stall the campaign. Failures are retried with
-//! exponential backoff up to a bounded budget; terminal results are
-//! journaled immediately and failures emit crash-reproducer files.
+//! Each job attempt runs on its own thread through the shared attempt
+//! path ([`super::attempt`]: isolation, outcome, watchdog), so a panic in
+//! job 17 becomes a typed [`JobError`] instead of tearing down the whole
+//! multi-minute campaign, and a hung job is cancelled and, if it never
+//! polls, abandoned. Failures are retried with exponential backoff up to
+//! a bounded budget; terminal results are journaled immediately and
+//! failures emit crash-reproducer files.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use super::cancel::{self, CancelToken, Cancelled};
-use super::job::{Job, JobCtx, JobError, JobRecord};
+use super::attempt::{self, Outcome, Watch};
+use super::job::{Job, JobError, JobRecord};
 use super::journal::{Journal, JournalEntry};
 use super::json::Value;
 use super::repro::CrashReproducer;
@@ -77,11 +72,6 @@ impl CampaignReport {
     /// Jobs that succeeded.
     pub fn succeeded(&self) -> usize {
         self.records.iter().filter(|r| r.succeeded()).count()
-    }
-
-    /// Jobs that succeeded or failed only after at least one retry.
-    pub fn retried(&self) -> usize {
-        self.records.iter().filter(|r| r.retried()).count()
     }
 
     /// Jobs that failed terminally.
@@ -175,13 +165,7 @@ enum Slot {
     /// Waiting (or backing off) until `ready_at` for attempt `attempt`.
     Pending { ready_at: Instant, attempt: u32 },
     /// Attempt `attempt` is running on a worker thread.
-    Running {
-        attempt: u32,
-        token: CancelToken,
-        deadline: Option<Instant>,
-        cancelled_at: Option<Instant>,
-        started: Instant,
-    },
+    Running { attempt: u32, watch: Watch },
     /// Terminal.
     Done,
 }
@@ -198,7 +182,6 @@ fn elapsed_ms(t: Instant) -> u64 {
 struct HeartbeatState {
     jobs_total: u64,
     done: AtomicU64,
-    running: AtomicU64,
     retries: AtomicU64,
     running_names: Mutex<Vec<String>>,
 }
@@ -227,10 +210,7 @@ impl HeartbeatState {
             vec![
                 ("jobs_total", Value::UInt(self.jobs_total)),
                 ("jobs_done", Value::UInt(self.done.load(Ordering::Relaxed))),
-                (
-                    "jobs_running",
-                    Value::UInt(self.running.load(Ordering::Relaxed)),
-                ),
+                ("jobs_running", Value::UInt(running_jobs.len() as u64)),
                 ("running", Value::Arr(running_jobs)),
                 ("retries", Value::UInt(self.retries.load(Ordering::Relaxed))),
                 ("rounds_per_sec", Value::UInt(rounds_per_sec)),
@@ -245,7 +225,6 @@ impl HeartbeatState {
     }
 
     fn add_running(&self, name: &str) {
-        self.running.fetch_add(1, Ordering::Relaxed);
         self.running_names
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -253,7 +232,6 @@ impl HeartbeatState {
     }
 
     fn remove_running(&self, name: &str) {
-        self.running.fetch_sub(1, Ordering::Relaxed);
         let mut names = self.running_names.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(pos) = names.iter().position(|n| n == name) {
             names.remove(pos);
@@ -273,32 +251,6 @@ fn emit_job_event(event: &str, job: &str, attempt: u32, extra: Vec<(&'static str
     ];
     fields.extend(extra);
     crate::obs::telemetry::emit(event, fields);
-}
-
-/// Extracts a readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Installs (once, process-wide) a panic hook that stays quiet for
-/// panics on supervised job threads — the supervisor reports those
-/// itself — and forwards everything else to the previous hook.
-fn install_quiet_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !cancel::in_job() {
-                prev(info);
-            }
-        }));
-    });
 }
 
 /// Runs `jobs` under supervision and returns the per-job records.
@@ -333,23 +285,19 @@ pub fn run_campaign(
             }
         }
     }
-    install_quiet_hook();
     super::arenas::cap_per_cpu();
 
     // Resume: restore terminal results recorded by a previous run. The
     // prior journal is loaded *before* it is reopened for appending,
     // because `Journal::open` repairs a torn trailing line (truncating
-    // it) and the warning about that lost checkpoint should still reach
-    // the operator.
+    // it) and the operator should still hear about that lost checkpoint
+    // (the job simply re-runs).
     let mut records: Vec<Option<JobRecord>> = (0..jobs.len()).map(|_| None).collect();
     let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
     let now = Instant::now();
     let mut resumed = 0usize;
     let prior = match (&cfg.journal_path, cfg.resume) {
         (Some(path), true) => {
-            // A crash mid-append leaves a truncated trailing line; the
-            // loader skips it (the job simply re-runs) but the operator
-            // should hear about the lost checkpoint.
             let (prior, warnings) = Journal::load_with_warnings(path)?;
             for w in &warnings {
                 progress(&format!("resume: {w}"));
@@ -398,10 +346,7 @@ pub fn run_campaign(
     }
 
     let mut repro_paths = Vec::new();
-    let (tx, rx) = mpsc::channel::<(usize, u32, Result<String, JobError>)>();
-    let limit_ms = cfg
-        .timeout
-        .map(|t| u64::try_from(t.as_millis()).unwrap_or(u64::MAX));
+    let (tx, rx) = mpsc::channel::<(usize, u32, Outcome)>();
 
     // Wall-clock bookkeeping for journal records and telemetry: when
     // each job was first dispatched (spanning retries and backoff).
@@ -421,7 +366,6 @@ pub fn run_campaign(
     let hb_state = Arc::new(HeartbeatState {
         jobs_total: jobs.len() as u64,
         done: AtomicU64::new(done as u64),
-        running: AtomicU64::new(0),
         retries: AtomicU64::new(0),
         running_names: Mutex::new(Vec::new()),
     });
@@ -452,27 +396,69 @@ pub fn run_campaign(
             // The slot is still `Running` here on both the normal and
             // the abandonment path; its start time dates the attempt.
             let attempt_ms = match &slots[idx] {
-                Slot::Running { started, .. } => Some(elapsed_ms(*started)),
+                Slot::Running { watch, .. } => Some(elapsed_ms(watch.started)),
                 _ => None,
             };
             let wall_ms = first_started[idx].map(elapsed_ms);
-            match outcome {
-                Ok(output) => {
-                    progress(&format!("job {}: ok (attempt {attempt})", job.spec.name));
+            let ms = |v: Option<u64>| v.map_or(Value::Null, Value::UInt);
+            match &outcome {
+                Err(err) if attempt <= cfg.retries => {
+                    hb_state.retries.fetch_add(1, Ordering::Relaxed);
+                    let shift = (attempt - 1).min(16);
+                    let delay = cfg.backoff_base.saturating_mul(1u32 << shift);
+                    progress(&format!(
+                        "job {}: {} (attempt {attempt}); retrying in {:?}",
+                        job.spec.name, err, delay
+                    ));
                     emit_job_event(
-                        "job_ok",
+                        "job_retry",
                         &job.spec.name,
                         attempt,
                         vec![
-                            ("wall_ms", wall_ms.map_or(Value::Null, Value::UInt)),
-                            ("attempt_ms", attempt_ms.map_or(Value::Null, Value::UInt)),
+                            ("error_kind", Value::Str(err.kind().to_string())),
+                            ("error", Value::Str(err.to_string())),
+                            ("attempt_ms", ms(attempt_ms)),
                         ],
                     );
+                    slots[idx] = Slot::Pending {
+                        ready_at: Instant::now() + delay,
+                        attempt: attempt + 1,
+                    };
+                }
+                _ => {
+                    match &outcome {
+                        Ok(_) => {
+                            progress(&format!("job {}: ok (attempt {attempt})", job.spec.name));
+                            emit_job_event(
+                                "job_ok",
+                                &job.spec.name,
+                                attempt,
+                                vec![("wall_ms", ms(wall_ms)), ("attempt_ms", ms(attempt_ms))],
+                            );
+                        }
+                        Err(err) => {
+                            progress(&format!(
+                                "job {}: {} (attempt {attempt}); retry budget exhausted",
+                                job.spec.name, err
+                            ));
+                            emit_job_event(
+                                "job_failed",
+                                &job.spec.name,
+                                attempt,
+                                vec![
+                                    ("error_kind", Value::Str(err.kind().to_string())),
+                                    ("error", Value::Str(err.to_string())),
+                                    ("wall_ms", ms(wall_ms)),
+                                    ("attempt_ms", ms(attempt_ms)),
+                                ],
+                            );
+                        }
+                    }
                     let rec = JobRecord {
                         index: idx,
                         spec: job.spec.clone(),
                         attempts: attempt,
-                        outcome: Ok(output),
+                        outcome,
                         resumed: false,
                         wall_ms,
                         attempt_ms,
@@ -480,77 +466,19 @@ pub fn run_campaign(
                     if let Some(j) = journal.as_mut() {
                         j.append(&JournalEntry::from_record(&rec))?;
                     }
+                    if let (Err(err), Some(dir)) = (&rec.outcome, &cfg.repro_dir) {
+                        let path = CrashReproducer::new(&job.spec, attempt, err).write_to(dir)?;
+                        progress(&format!(
+                            "job {}: crash reproducer written to {}",
+                            job.spec.name,
+                            path.display()
+                        ));
+                        repro_paths.push(path);
+                    }
                     records[idx] = Some(rec);
                     slots[idx] = Slot::Done;
                     done += 1;
                     hb_state.done.store(done as u64, Ordering::Relaxed);
-                }
-                Err(err) => {
-                    if attempt <= cfg.retries {
-                        hb_state.retries.fetch_add(1, Ordering::Relaxed);
-                        let shift = (attempt - 1).min(16);
-                        let delay = cfg.backoff_base.saturating_mul(1u32 << shift);
-                        progress(&format!(
-                            "job {}: {} (attempt {attempt}); retrying in {:?}",
-                            job.spec.name, err, delay
-                        ));
-                        emit_job_event(
-                            "job_retry",
-                            &job.spec.name,
-                            attempt,
-                            vec![
-                                ("error_kind", Value::Str(err.kind().to_string())),
-                                ("error", Value::Str(err.to_string())),
-                                ("attempt_ms", attempt_ms.map_or(Value::Null, Value::UInt)),
-                            ],
-                        );
-                        slots[idx] = Slot::Pending {
-                            ready_at: Instant::now() + delay,
-                            attempt: attempt + 1,
-                        };
-                    } else {
-                        progress(&format!(
-                            "job {}: {} (attempt {attempt}); retry budget exhausted",
-                            job.spec.name, err
-                        ));
-                        emit_job_event(
-                            "job_failed",
-                            &job.spec.name,
-                            attempt,
-                            vec![
-                                ("error_kind", Value::Str(err.kind().to_string())),
-                                ("error", Value::Str(err.to_string())),
-                                ("wall_ms", wall_ms.map_or(Value::Null, Value::UInt)),
-                                ("attempt_ms", attempt_ms.map_or(Value::Null, Value::UInt)),
-                            ],
-                        );
-                        let rec = JobRecord {
-                            index: idx,
-                            spec: job.spec.clone(),
-                            attempts: attempt,
-                            outcome: Err(err.clone()),
-                            resumed: false,
-                            wall_ms,
-                            attempt_ms,
-                        };
-                        if let Some(j) = journal.as_mut() {
-                            j.append(&JournalEntry::from_record(&rec))?;
-                        }
-                        if let Some(dir) = &cfg.repro_dir {
-                            let repro = CrashReproducer::new(&job.spec, attempt, &err);
-                            let path = repro.write_to(dir)?;
-                            progress(&format!(
-                                "job {}: crash reproducer written to {}",
-                                job.spec.name,
-                                path.display()
-                            ));
-                            repro_paths.push(path);
-                        }
-                        records[idx] = Some(rec);
-                        slots[idx] = Slot::Done;
-                        done += 1;
-                        hb_state.done.store(done as u64, Ordering::Relaxed);
-                    }
                 }
             }
         }};
@@ -558,157 +486,101 @@ pub fn run_campaign(
 
     while done < jobs.len() {
         // Dispatch ready jobs onto free workers, in campaign order.
-        if running < cfg.workers {
-            let now = Instant::now();
-            let mut ready: VecDeque<usize> = (0..jobs.len())
-                .filter(
-                    |&i| matches!(&slots[i], Slot::Pending { ready_at, .. } if *ready_at <= now),
-                )
-                .collect();
-            while running < cfg.workers {
-                let Some(idx) = ready.pop_front() else { break };
-                let Slot::Pending { attempt, .. } = slots[idx] else {
-                    continue;
-                };
-                let token = CancelToken::new();
-                let started = Instant::now();
-                let deadline = cfg.timeout.map(|t| started + t);
-                first_started[idx].get_or_insert(started);
-                progress(&format!(
-                    "job {}: start (attempt {attempt}{})",
-                    jobs[idx].spec.name,
-                    if attempt > 1 { ", retry" } else { "" }
-                ));
-                emit_job_event("job_start", &jobs[idx].spec.name, attempt, Vec::new());
-                let run = jobs[idx].run.clone();
-                let job_name = jobs[idx].spec.name.clone();
-                let thread_token = token.clone();
-                let thread_tx = tx.clone();
-                std::thread::Builder::new()
-                    .name(format!("job-{}", jobs[idx].spec.name))
-                    .spawn(move || {
-                        let ctx = JobCtx {
-                            token: thread_token.clone(),
-                            attempt,
-                        };
-                        // The job runs inside an observability scope so
-                        // its flight events dump into a per-job file;
-                        // the dump happens here, on the job's own
-                        // thread, because the ring is thread-local and
-                        // each attempt gets a fresh thread.
-                        let result = cancel::with_current(thread_token, || {
-                            crate::obs::with_scope(&job_name, || {
-                                let r = catch_unwind(AssertUnwindSafe(|| (run)(&ctx)));
-                                if let Err(payload) = &r {
-                                    if crate::obs::enabled() {
-                                        let reason =
-                                            if payload.downcast_ref::<Cancelled>().is_some() {
-                                                "timeout"
-                                            } else {
-                                                "panic"
-                                            };
-                                        crate::obs::dump_flight(reason);
-                                    }
-                                }
-                                r
-                            })
-                        });
-                        let outcome = match result {
-                            Ok(Ok(output)) => Ok(output),
-                            Ok(Err(message)) => Err(JobError::Failed { message }),
-                            Err(payload) => {
-                                if payload.downcast_ref::<Cancelled>().is_some() {
-                                    Err(JobError::TimedOut {
-                                        limit_ms: limit_ms.unwrap_or(0),
-                                    })
-                                } else {
-                                    Err(JobError::Panicked {
-                                        message: panic_message(payload.as_ref()),
-                                    })
-                                }
-                            }
-                        };
-                        // The supervisor may have abandoned us; a closed
-                        // channel or a stale attempt is simply ignored.
-                        let _ = thread_tx.send((idx, attempt, outcome));
-                    })
-                    .map_err(|e| Error::other(format!("spawn failed: {e}")))?;
-                slots[idx] = Slot::Running {
-                    attempt,
-                    token,
-                    deadline,
-                    cancelled_at: None,
-                    started,
-                };
-                running += 1;
-                hb_state.add_running(&jobs[idx].spec.name);
+        let now = Instant::now();
+        for idx in 0..jobs.len() {
+            if running >= cfg.workers {
+                break;
             }
+            let Slot::Pending { ready_at, attempt } = slots[idx] else {
+                continue;
+            };
+            if ready_at > now {
+                continue;
+            }
+            let watch = Watch::start(Instant::now(), cfg.timeout);
+            first_started[idx].get_or_insert(watch.started);
+            progress(&format!(
+                "job {}: start (attempt {attempt}{})",
+                jobs[idx].spec.name,
+                if attempt > 1 { ", retry" } else { "" }
+            ));
+            emit_job_event("job_start", &jobs[idx].spec.name, attempt, Vec::new());
+            let run = jobs[idx].run.clone();
+            let ctx = attempt::Context::job(&watch.token, &jobs[idx].spec.name, None);
+            let thread_tx = tx.clone();
+            std::thread::Builder::new()
+                .name(format!("job-{}", jobs[idx].spec.name))
+                .spawn(move || {
+                    let outcome = attempt::run(&ctx, &run, attempt);
+                    // The supervisor may have abandoned us; a closed
+                    // channel or a stale attempt is simply ignored.
+                    let _ = thread_tx.send((idx, attempt, outcome));
+                })
+                .map_err(|e| Error::other(format!("spawn failed: {e}")))?;
+            slots[idx] = Slot::Running { attempt, watch };
+            running += 1;
+            hb_state.add_running(&jobs[idx].spec.name);
         }
 
-        // Collect one result (or time out quickly to run the watchdog).
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok((idx, attempt, outcome)) => {
-                let current = matches!(
-                    &slots[idx],
-                    Slot::Running { attempt: a, .. } if *a == attempt
-                );
-                if current {
+        // Sleep until a result arrives or the earliest timer is due: a
+        // deadline, an abandonment, or (with a worker free) the end of a
+        // backoff.
+        let next_timer = slots
+            .iter()
+            .flat_map(|slot| match slot {
+                Slot::Running { watch, .. } => [watch.deadline_at(), watch.abandon_at(cfg.grace)],
+                Slot::Pending { ready_at, .. } if running < cfg.workers => [Some(*ready_at), None],
+                _ => [None, None],
+            })
+            .flatten()
+            .min();
+        let woken = match next_timer {
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+        };
+        match woken {
+            Ok((idx, attempt, outcome)) => match &slots[idx] {
+                Slot::Running { attempt: a, watch } if *a == attempt => {
+                    let timed_out = watch.timed_out();
                     running -= 1;
                     hb_state.remove_running(&jobs[idx].spec.name);
-                    finish!(idx, attempt, outcome);
+                    finish!(idx, attempt, outcome.into_result(timed_out));
                 }
-                // Otherwise: a late result from an abandoned attempt —
-                // its outcome was already recorded; drop it.
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("tx kept alive above"),
+                // A late result from an abandoned attempt: its outcome
+                // was already recorded; drop it.
+                _ => {}
+            },
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => unreachable!("tx kept alive above"),
         }
 
         // Watchdog: cancel overdue attempts; abandon unresponsive ones.
         let now = Instant::now();
         for idx in 0..jobs.len() {
-            let Slot::Running {
-                attempt,
-                token,
-                deadline,
-                cancelled_at,
-                ..
-            } = &mut slots[idx]
-            else {
+            let Slot::Running { attempt, watch } = &mut slots[idx] else {
                 continue;
             };
             let attempt = *attempt;
-            if let Some(dl) = *deadline {
-                if cancelled_at.is_none() && now >= dl {
-                    progress(&format!(
-                        "job {}: deadline exceeded; cancelling (attempt {attempt})",
-                        jobs[idx].spec.name
-                    ));
-                    token.cancel();
-                    *cancelled_at = Some(now);
-                }
+            if watch.deadline_at().is_some_and(|at| now >= at) {
+                progress(&format!(
+                    "job {}: deadline exceeded; cancelling (attempt {attempt})",
+                    jobs[idx].spec.name
+                ));
+                watch.cancel(now);
             }
-            if let Some(t) = *cancelled_at {
-                if now >= t + cfg.grace {
-                    // The job is not polling its token: abandon the
-                    // thread (it dies with the process) and reclaim the
-                    // worker slot.
-                    progress(&format!(
-                        "job {}: unresponsive after cancellation; abandoning thread \
-                         (attempt {attempt})",
-                        jobs[idx].spec.name
-                    ));
-                    emit_job_event("job_abandoned", &jobs[idx].spec.name, attempt, Vec::new());
-                    running -= 1;
-                    hb_state.remove_running(&jobs[idx].spec.name);
-                    finish!(
-                        idx,
-                        attempt,
-                        Err(JobError::TimedOut {
-                            limit_ms: limit_ms.unwrap_or(0),
-                        })
-                    );
-                }
+            if watch.abandon_at(cfg.grace).is_some_and(|at| now >= at) {
+                // The job is not polling its token: abandon the thread
+                // (it dies with the process) and reclaim the worker slot.
+                progress(&format!(
+                    "job {}: unresponsive after cancellation; abandoning thread \
+                     (attempt {attempt})",
+                    jobs[idx].spec.name
+                ));
+                let timed_out = watch.timed_out();
+                emit_job_event("job_abandoned", &jobs[idx].spec.name, attempt, Vec::new());
+                running -= 1;
+                hb_state.remove_running(&jobs[idx].spec.name);
+                finish!(idx, attempt, Err(timed_out));
             }
         }
     }

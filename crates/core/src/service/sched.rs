@@ -1,6 +1,7 @@
 //! The scheduler: fair dispatch out of [`Admission`], one worker thread
-//! per running job, completion collection, the per-job deadline
-//! watchdog, `progress` frames, and the drain sequence.
+//! per running job on the runner's attempt path
+//! ([`crate::runner::attempt`]: context, isolation, outcome, watchdog),
+//! completion collection, `progress` frames, and the drain sequence.
 //!
 //! The loop is purely event-driven. Everything it must react to arrives
 //! as a [`SchedMsg`] on one channel — a job became dispatchable, a
@@ -18,15 +19,15 @@
 //! single-threaded on a made-up clock.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::obs::metrics;
+use crate::runner::attempt::{self, Outcome, Watch};
 use crate::runner::json::Value;
-use crate::runner::{CancelToken, Cancelled, JobCtx, JobError, Journal};
+use crate::runner::{JobError, Journal};
 
 use super::protocol;
 use super::quota::Admission;
@@ -40,19 +41,9 @@ pub(super) enum SchedMsg {
     /// thread, or re-enqueued by recovery).
     Admitted,
     /// Job `.0`'s worker thread finished.
-    Completed(u64, WorkerOutcome),
+    Completed(u64, Outcome),
     /// Begin the graceful drain.
     Stop,
-}
-
-/// What a worker thread reports back. The scheduler supplies the
-/// *meaning* of a cancellation unwind (deadline vs drain) because only
-/// it knows why the token fired.
-pub(super) enum WorkerOutcome {
-    Ok(String),
-    Failed(String),
-    Panicked(String),
-    CancelUnwind,
 }
 
 /// A job recovered from the WAL that the factory no longer builds (the
@@ -87,34 +78,39 @@ struct Running {
     tenant: String,
     name: String,
     seed: u64,
-    token: CancelToken,
-    started: Instant,
-    deadline: Instant,
-    limit_ms: u64,
+    watch: Watch,
     tag: Option<String>,
     idem_key: Option<String>,
     writer: Option<ConnWriter>,
     /// See [`Pending::received`].
     received: Option<Instant>,
     cancel_cause: Option<CancelCause>,
-    cancelled_at: Option<Instant>,
     /// Last time a `progress` frame was streamed to the submitter.
     last_progress: Instant,
 }
 
-/// A running job's three timers, each `None` while disarmed. The
-/// watchdog fires on exactly these and [`next_wakeup`] sleeps until
-/// exactly these, so a timer can neither be slept through nor spin the
-/// loop.
+/// A running job's timers — its watch's deadline and abandonment, and
+/// its `progress` cadence — are what the watchdog fires on and
+/// [`next_wakeup`] sleeps until, so none is slept through or spins.
 impl Running {
-    /// When the deadline cancels the token (until something has).
-    fn deadline_at(&self) -> Option<Instant> {
-        self.cancel_cause.is_none().then_some(self.deadline)
+    /// Cancels the job's token at `now` for `cause`, unless something
+    /// already has.
+    fn cancel(&mut self, cause: CancelCause, now: Instant) {
+        if self.cancel_cause.is_none() {
+            self.watch.cancel(now);
+            self.cancel_cause = Some(cause);
+        }
     }
 
-    /// When a cancelled job that has not unwound is abandoned.
-    fn abandon_at(&self, cfg: &ServiceConfig) -> Option<Instant> {
-        self.cancelled_at.map(|at| at + cfg.cancel_grace)
+    /// What the job's cancellation means, with `drain_reason` as the
+    /// reason of a drain cancellation.
+    fn cancel_error(&self, drain_reason: &str) -> JobError {
+        match self.cancel_cause {
+            Some(CancelCause::Drain) => JobError::Cancelled {
+                reason: drain_reason.into(),
+            },
+            _ => self.watch.timed_out(),
+        }
     }
 
     /// When the next `progress` frame is due (never, for a job with no
@@ -136,7 +132,13 @@ fn next_wakeup(
 ) -> Option<Instant> {
     running
         .values()
-        .flat_map(|run| [run.deadline_at(), run.abandon_at(cfg), run.progress_at(cfg)])
+        .flat_map(|r| {
+            [
+                r.watch.deadline_at(),
+                r.watch.abandon_at(cfg.cancel_grace),
+                r.progress_at(cfg),
+            ]
+        })
         .chain([drain_cancel_at])
         .flatten()
         .min()
@@ -181,7 +183,7 @@ impl Scheduler {
                 // An abandoned job's late completion: its record is
                 // gone; drop the message.
                 if let Some(run) = self.running.remove(&job_id) {
-                    let outcome = interpret(outcome, &run);
+                    let outcome = outcome.into_result(run.cancel_error("drain"));
                     self.finish_running(job_id, run, outcome, now);
                 }
             }
@@ -202,22 +204,20 @@ impl Scheduler {
         if self.drain_cancel_at.is_some_and(|at| now >= at) {
             self.drain_cancel_at = None;
             for run in self.running.values_mut() {
-                if run.cancel_cause.is_none() {
-                    run.token.cancel();
-                    run.cancel_cause = Some(CancelCause::Drain);
-                    run.cancelled_at = Some(now);
-                }
+                run.cancel(CancelCause::Drain, now);
             }
         }
         let cfg = &self.shared.cfg;
         let mut abandoned: Vec<u64> = Vec::new();
         for (id, run) in self.running.iter_mut() {
-            if run.deadline_at().is_some_and(|at| now >= at) {
-                run.token.cancel();
-                run.cancel_cause = Some(CancelCause::Deadline);
-                run.cancelled_at = Some(now);
+            if run.watch.deadline_at().is_some_and(|at| now >= at) {
+                run.cancel(CancelCause::Deadline, now);
             }
-            if run.abandon_at(cfg).is_some_and(|at| now >= at) {
+            if run
+                .watch
+                .abandon_at(cfg.cancel_grace)
+                .is_some_and(|at| now >= at)
+            {
                 abandoned.push(*id);
                 continue;
             }
@@ -229,7 +229,7 @@ impl Scheduler {
                         &protocol::progress(
                             *id,
                             &run.name,
-                            now.duration_since(run.started).as_millis() as u64,
+                            now.duration_since(run.watch.started).as_millis() as u64,
                             &run.tag,
                         ),
                     );
@@ -238,7 +238,7 @@ impl Scheduler {
         }
         for id in abandoned {
             let run = self.running.remove(&id).expect("abandoned id vanished");
-            let outcome = Err(abandon_error(&run));
+            let outcome = Err(run.cancel_error("drain: abandoned (never polled)"));
             self.finish_running(id, run, outcome, now);
         }
     }
@@ -316,23 +316,20 @@ impl Scheduler {
             &tenant,
             now.saturating_duration_since(queued).as_micros() as u64,
         );
-        let token = CancelToken::new();
+        let watch = Watch::start(now, Some(deadline));
+        let ctx = attempt::Context::job(&watch.token, &job.spec.name, Some(&tenant));
         self.running.insert(
             job_id,
             Running {
                 tenant: tenant.clone(),
                 name: job.spec.name.clone(),
                 seed: job.spec.seed,
-                token: token.clone(),
-                started: now,
-                deadline: now + deadline,
-                limit_ms: deadline.as_millis() as u64,
+                watch,
                 tag,
                 idem_key,
                 writer,
                 received,
                 cancel_cause: None,
-                cancelled_at: None,
                 last_progress: now,
             },
         );
@@ -348,29 +345,7 @@ impl Scheduler {
         }
         let tx = self.shared.sched_tx.clone();
         let body = move || {
-            let ctx = JobCtx {
-                token: token.clone(),
-                attempt: 1,
-            };
-            let name = job.spec.name.clone();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                crate::runner::with_current(token.clone(), || {
-                    crate::obs::with_scope(&name, || {
-                        crate::obs::with_tenant(&tenant, || (job.run)(&ctx))
-                    })
-                })
-            }));
-            let outcome = match result {
-                Ok(Ok(output)) => WorkerOutcome::Ok(output),
-                Ok(Err(message)) => WorkerOutcome::Failed(message),
-                Err(payload) => {
-                    if payload.downcast_ref::<Cancelled>().is_some() {
-                        WorkerOutcome::CancelUnwind
-                    } else {
-                        WorkerOutcome::Panicked(crate::runner::panic_message(payload.as_ref()))
-                    }
-                }
-            };
+            let outcome = attempt::run(&ctx, &job.run, 1);
             // The scheduler may have exited after abandoning us; a
             // closed channel is simply ignored.
             let _ = tx.send(SchedMsg::Completed(job_id, outcome));
@@ -397,7 +372,7 @@ impl Scheduler {
         outcome: Result<String, JobError>,
         now: Instant,
     ) {
-        metrics::SERVICE_RUN_US.record(now.duration_since(run.started).as_micros() as u64);
+        metrics::SERVICE_RUN_US.record(now.duration_since(run.watch.started).as_micros() as u64);
         if let Some(rcv) = run.received {
             metrics::record_request(
                 &run.tenant,
@@ -551,36 +526,6 @@ fn spawn_heartbeat(shared: &Arc<Shared>) -> crate::obs::Heartbeat {
         );
         crate::obs::telemetry::emit("service_metrics", metrics::heartbeat_fields());
     })
-}
-
-/// Maps a worker's raw outcome to the client-visible error, using the
-/// scheduler's knowledge of *why* a cancellation unwind happened.
-fn interpret(outcome: WorkerOutcome, run: &Running) -> Result<String, JobError> {
-    match outcome {
-        WorkerOutcome::Ok(output) => Ok(output),
-        WorkerOutcome::Failed(message) => Err(JobError::Failed { message }),
-        WorkerOutcome::Panicked(message) => Err(JobError::Panicked { message }),
-        WorkerOutcome::CancelUnwind => match run.cancel_cause {
-            Some(CancelCause::Deadline) | None => Err(JobError::TimedOut {
-                limit_ms: run.limit_ms,
-            }),
-            Some(CancelCause::Drain) => Err(JobError::Cancelled {
-                reason: "drain".into(),
-            }),
-        },
-    }
-}
-
-/// The error journaled for a job abandoned after ignoring its cancel.
-fn abandon_error(run: &Running) -> JobError {
-    match run.cancel_cause {
-        Some(CancelCause::Drain) => JobError::Cancelled {
-            reason: "drain: abandoned (never polled)".into(),
-        },
-        _ => JobError::TimedOut {
-            limit_ms: run.limit_ms,
-        },
-    }
 }
 
 /// Terminal bookkeeping shared by every completion path: telemetry,
@@ -762,23 +707,24 @@ mod tests {
             ..cfg.clone()
         };
         let rig = rig(cfg.clone(), never_runs);
-        let job =
-            |deadline_ms: u64, cancelled_ms: Option<u64>, progress_ms: u64, wired: bool| Running {
+        let job = |deadline_ms: u64, cancelled_ms: Option<u64>, progress_ms: u64, wired: bool| {
+            let mut run = Running {
                 tenant: "t".into(),
                 name: "unit".into(),
                 seed: 0,
-                token: CancelToken::new(),
-                started: t0,
-                deadline: t0 + deadline_ms as u32 * MS,
-                limit_ms: deadline_ms,
+                watch: Watch::start(t0, Some(deadline_ms as u32 * MS)),
                 tag: None,
                 idem_key: None,
                 writer: wired.then(|| rig.sched.shared.outbox(0)),
                 received: None,
-                cancel_cause: cancelled_ms.map(|_| CancelCause::Deadline),
-                cancelled_at: cancelled_ms.map(|ms| t0 + ms as u32 * MS),
+                cancel_cause: None,
                 last_progress: t0 + progress_ms as u32 * MS,
             };
+            if let Some(ms) = cancelled_ms {
+                run.cancel(CancelCause::Deadline, t0 + ms as u32 * MS);
+            }
+            run
+        };
         let at = |ms: u64| Some(t0 + ms as u32 * MS);
         // (running jobs, end of drain grace, config, expected wakeup)
         let table = vec![
@@ -925,7 +871,7 @@ mod tests {
         assert_eq!(wake(&rig), Some(at(1_000)));
 
         // The deadline cancels the token and arms the abandonment.
-        let token = rig.sched.running[&1].token.clone();
+        let token = rig.sched.running[&1].watch.token.clone();
         rig.sched.fire_timers(at(2_000));
         assert!(token.is_cancelled());
         assert_eq!(frames(&conn).len(), 1, "one more progress frame");
@@ -942,10 +888,8 @@ mod tests {
         assert!(rig.sched.running.is_empty());
         assert_eq!(wake(&rig), None, "an idle scheduler arms nothing");
         // Its late completion is dropped, not answered twice.
-        rig.sched.handle(
-            SchedMsg::Completed(1, WorkerOutcome::CancelUnwind),
-            at(3_100),
-        );
+        rig.sched
+            .handle(SchedMsg::Completed(1, Outcome::Cancelled), at(3_100));
         assert!(frames(&conn).is_empty());
     }
 
@@ -991,11 +935,11 @@ mod tests {
 
         // Grace over: the running job's token is cancelled, and it
         // unwinds as a drain cancellation.
-        let token = rig.sched.running[&1].token.clone();
+        let token = rig.sched.running[&1].watch.token.clone();
         rig.sched.fire_timers(at(400));
         assert!(token.is_cancelled());
         rig.sched
-            .handle(SchedMsg::Completed(1, WorkerOutcome::CancelUnwind), at(410));
+            .handle(SchedMsg::Completed(1, Outcome::Cancelled), at(410));
         cancelled(&runner, "drain");
 
         // Nothing runs, nothing is queued, yet the drain is not over:

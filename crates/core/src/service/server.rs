@@ -29,10 +29,9 @@
 //!   and the drain sequence. It sleeps until a message or a job's
 //!   timer wakes it. It is the only writer of the journal, so journal
 //!   entries land in completion order without interleaving;
-//! - **workers** (one thread per running job): install the job's
-//!   [`CancelToken`], obs scope and tenant label (so `scatter` shards
-//!   and warm-pool accounting inherit them), run the job under
-//!   `catch_unwind`, and report back over a channel.
+//! - **workers** (one thread per running job): run the job on the
+//!   runner's attempt path ([`crate::runner::attempt`]) and report its
+//!   outcome back over a channel.
 //!
 //! Replies never block the reactor either: every connection has an
 //! **outbox** (an unbounded queue of response lines) that any thread —
@@ -49,10 +48,10 @@
 //!
 //! The drain contract (also in `SERVICE.md`): stop accepting, shed new
 //! submits as `draining`, journal still-queued jobs as cancelled, give
-//! running jobs `drain_grace` to finish, then cancel their tokens and
-//! give them `cancel_grace` to unwind; whatever still hasn't polled is
-//! abandoned (journaled as cancelled) so shutdown completes in bounded
-//! time no matter what a job does. The reactor then stops the
+//! running jobs `drain_grace` to finish, then cancel their tokens; the
+//! attempt path's watchdog bounds the rest with `cancel_grace` (each is
+//! journaled as cancelled) so shutdown completes in bounded time no
+//! matter what a job does. The reactor then stops the
 //! admission thread (answering everything still queued to it), gives
 //! every connection a final flush window, and closes them all.
 

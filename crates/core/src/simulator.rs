@@ -408,11 +408,6 @@ impl Simulator {
         });
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| &f.plan)
-    }
-
     /// Counts of faults actually injected so far, if a plan is installed.
     pub fn fault_injections(&self) -> Option<&FaultInjectionStats> {
         self.faults.as_ref().map(|f| &f.injected)
@@ -1652,11 +1647,6 @@ impl Simulator {
     #[doc(hidden)]
     pub fn debug_is_reference_engine(&self) -> bool {
         self.protocol.is_reference()
-    }
-
-    /// Test/diagnostic hook: residence counter of `vm` on cache `core`.
-    pub fn debug_residence(&self, core: usize, vm: sim_vm::VmId) -> u64 {
-        self.l2[core].residence(vm)
     }
 
     /// Test/diagnostic hook: the blocks currently valid in `core`'s L2.

@@ -180,6 +180,9 @@ grep -q '^drained: ' "$SVC_DIR/serve.out"
 grep -q 'cancelled' "$SVC_DIR/spin.out"
 grep -q '"job":"spin"' "$SVC_DIR/journal.jsonl"
 grep -q 'cancelled' "$SVC_DIR/journal.jsonl"
+# The drain's cancellation unwind is an expected ending, not a crash.
+# (`set -e` ignores a `!` pipeline, hence the explicit exit.)
+! grep -q 'panicked at' "$SVC_DIR/serve.err" || exit 1
 # The heartbeat left the Prometheus dump and telemetry summaries behind.
 test -s "$SVC_DIR/trace/metrics.prom"
 grep -q '^vsnoop_service_request_us_bucket' "$SVC_DIR/trace/metrics.prom"

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_vm::{VcpuId, VmId};
-use vsnoop::{ContentPolicy, FaultPlan, FilterPolicy, Simulator, SystemConfig};
+use vsnoop::{CheckerConfig, ContentPolicy, FaultPlan, FilterPolicy, Simulator, SystemConfig};
 use workloads::{profile, Workload, WorkloadConfig};
 
 struct Counting;
@@ -64,12 +64,21 @@ const WINDOW_ROUNDS: u64 = 20_000;
 /// policy is the primary lane and the rest ride along as filter lanes.
 /// With `migrate`, two vCPUs of different VMs exchange cores every
 /// 0.1 ms, as in the paper's migration experiments. With `faults`, the
-/// plan injects its faults throughout both rounds (the checker stays off).
-fn window_allocations(policies: &[FilterPolicy], migrate: bool, faults: Option<FaultPlan>) -> u64 {
+/// plan injects its faults throughout both rounds. With `checker`, the
+/// invariant checker runs at its default sweep cadence.
+fn window_allocations(
+    policies: &[FilterPolicy],
+    migrate: bool,
+    faults: Option<FaultPlan>,
+    checker: bool,
+) -> u64 {
     let cfg = SystemConfig::small_test();
     let mut sim = Simulator::new(cfg, policies[0], ContentPolicy::Broadcast);
     if let Some(plan) = faults {
         sim.set_fault_plan(plan);
+    }
+    if checker {
+        sim.enable_checker(CheckerConfig::default());
     }
     // The serial step is what is counted, whatever the engine knob says.
     sim.set_engine_workers(1);
@@ -101,6 +110,7 @@ fn window_allocations(policies: &[FilterPolicy], migrate: bool, faults: Option<F
         }
     };
     run(&mut sim, WARM_ROUNDS);
+    let checked = sim.checker().map(|c| (c.sweeps(), c.touched_blocks()));
     let swaps = sim.hypervisor().swaps();
     let before = ALLOCATIONS.with(Cell::get);
     run(&mut sim, WINDOW_ROUNDS);
@@ -109,13 +119,18 @@ fn window_allocations(policies: &[FilterPolicy], migrate: bool, faults: Option<F
     // and a migrating window really moved vCPUs.
     assert!(sim.lane_stats(0).l2_misses > 0);
     assert_eq!(sim.hypervisor().swaps() > swaps, migrate);
+    // A checked window sweeps, and the blocks it touches for the first
+    // time number fewer than those touched before it.
+    if let (Some((sweeps, touched)), Some(ch)) = (checked, sim.checker()) {
+        assert!(ch.sweeps() > sweeps && ch.touched_blocks() < 2 * touched);
+    }
     allocations
 }
 
 #[test]
 fn pinned_steps_allocate_nothing() {
     assert_eq!(
-        window_allocations(&[FilterPolicy::VsnoopBase], false, None),
+        window_allocations(&[FilterPolicy::VsnoopBase], false, None, false),
         0
     );
 }
@@ -123,7 +138,7 @@ fn pinned_steps_allocate_nothing() {
 #[test]
 fn broadcast_steps_allocate_nothing() {
     assert_eq!(
-        window_allocations(&[FilterPolicy::TokenBroadcast], false, None),
+        window_allocations(&[FilterPolicy::TokenBroadcast], false, None, false),
         0
     );
 }
@@ -131,14 +146,17 @@ fn broadcast_steps_allocate_nothing() {
 #[test]
 fn migrating_steps_allocate_nothing() {
     assert_eq!(
-        window_allocations(&[FilterPolicy::VsnoopBase], true, None),
+        window_allocations(&[FilterPolicy::VsnoopBase], true, None, false),
         0
     );
 }
 
 #[test]
 fn migrating_counter_steps_allocate_nothing() {
-    assert_eq!(window_allocations(&[FilterPolicy::Counter], true, None), 0);
+    assert_eq!(
+        window_allocations(&[FilterPolicy::Counter], true, None, false),
+        0
+    );
 }
 
 #[test]
@@ -148,7 +166,7 @@ fn migrating_three_lane_steps_allocate_nothing() {
         FilterPolicy::Counter,
         FilterPolicy::TokenBroadcast,
     ];
-    assert_eq!(window_allocations(&lanes, true, None), 0);
+    assert_eq!(window_allocations(&lanes, true, None, false), 0);
 }
 
 /// The benchmark's `storm` shape without its checker: every fault class
@@ -156,7 +174,30 @@ fn migrating_three_lane_steps_allocate_nothing() {
 #[test]
 fn storm_steps_allocate_nothing() {
     assert_eq!(
-        window_allocations(&[FilterPolicy::Counter], true, Some(FaultPlan::all(7))),
+        window_allocations(
+            &[FilterPolicy::Counter],
+            true,
+            Some(FaultPlan::all(7)),
+            false
+        ),
         0
     );
+}
+
+/// The benchmark's `storm` shape itself, checker on. A sweep does no
+/// fixed allocation; what allocates is the checker's record of every block
+/// ever touched, which grows as the window touches new ones. Three
+/// containers hold that record (the membership table, the list of blocks
+/// new since the last sweep, the sorted list), each grows by doubling,
+/// and the window less than doubles the record (asserted by
+/// `window_allocations`): each reallocates at most once.
+#[test]
+fn checked_storm_steps_allocate_only_for_newly_touched_blocks() {
+    let allocations = window_allocations(
+        &[FilterPolicy::Counter],
+        true,
+        Some(FaultPlan::all(7)),
+        true,
+    );
+    assert!(allocations <= 3, "{allocations} allocations");
 }
