@@ -16,6 +16,11 @@
 //!   vsnoop-base ~25% of baseline snoops (Table IV's ~75% filtering) and
 //!   the counter scheme ~45% under 0.1 ms migrations (Fig. 8).
 //!
+//! The report's "block checks" counts one per-block check per coherence
+//! transaction plus, for every full sweep, one per block that sweep
+//! verified: each block held in some L2 (and, on a sweep that finds a
+//! fault, each block with tokens away from memory too).
+//!
 //! Environment knobs (read through `vsnoop::knob`): `SOAK_ROUNDS`
 //! (storm rounds, default 80 000 — one round is 16 access steps on the
 //! paper machine) and `SOAK_SEED` (default `0x50AC`). The storm migrates
@@ -266,11 +271,12 @@ fn shapes(rounds: u64, seed: u64) -> Result<String, String> {
     }
 }
 
-/// `SOAK_FORCE_VIOLATION=1` self-test: run briefly, corrupt one cached
-/// line, sweep — the checker's `DirtyWithoutOwner` finding triggers the
-/// observability layer's violation dump. Always exits non-zero so CI
-/// failure paths (artifact upload, verify.sh smoke) can be rehearsed
-/// deterministically.
+/// `SOAK_FORCE_VIOLATION=1` self-test: run briefly, enable the checker,
+/// corrupt one cached line, sweep — the checker's `DirtyWithoutOwner`
+/// finding triggers the observability layer's violation dump. The
+/// checker comes on after the run, so the smoke also proves a sweep sees
+/// lines cached before it. Always exits non-zero so CI failure paths
+/// (artifact upload, verify.sh smoke) can be rehearsed deterministically.
 fn forced_violation() -> ExitCode {
     vsnoop::obs::with_scope("forced", || {
         let cfg = SystemConfig::paper_default();
@@ -282,7 +288,6 @@ fn forced_violation() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        sim.enable_checker(CheckerConfig::default());
         let mut wl = match storm_workload(&cfg, vsnoop::knob::soak_seed()) {
             Ok(w) => w,
             Err(e) => {
@@ -291,6 +296,8 @@ fn forced_violation() -> ExitCode {
             }
         };
         sim.run(&mut wl, 200);
+        // Enabled only now: the sweep must see lines cached before it.
+        sim.enable_checker(CheckerConfig::default());
         let Some(block) = sim.debug_corrupt_token_state() else {
             eprintln!("soak: forced violation found no cached line to corrupt");
             return ExitCode::from(2);

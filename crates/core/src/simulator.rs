@@ -1786,6 +1786,28 @@ mod tests {
         );
     }
 
+    /// A checker enabled mid-run must still see the lines cached before
+    /// it: the sweep reads its blocks off the machine, not off a record
+    /// of the transactions it watched.
+    #[test]
+    fn checker_enabled_mid_run_sees_lines_cached_before_it() {
+        let (mut sim, mut wl) = small_sim(FilterPolicy::VsnoopBase);
+        sim.run(&mut wl, 2000);
+        sim.enable_checker(CheckerConfig::default());
+        let block = sim.debug_corrupt_token_state().expect("a cached line");
+        sim.run_checker_sweep();
+        let checker = sim.checker().expect("checker enabled");
+        assert!(checker.block_checks() > 0, "the sweep checked no block");
+        assert!(
+            checker.violations().iter().any(|v| {
+                v.kind == crate::checker::InvariantKind::DirtyWithoutOwner
+                    && v.detail.contains(&format!("{:?}", BlockAddr::new(block)))
+            }),
+            "corrupted block {block} went unreported: {:?}",
+            checker.violations()
+        );
+    }
+
     #[test]
     fn invariants_hold_after_mixed_run() {
         let (mut sim, mut wl) = small_sim(FilterPolicy::VsnoopBase);

@@ -204,7 +204,6 @@ fn run_one(sc: &Scenario, reference: bool) -> RunDigest {
                     c.block_checks(),
                     c.sweeps(),
                     c.map_checks(),
-                    c.touched_blocks(),
                 )
             })
         ),

@@ -410,6 +410,16 @@ impl Cache {
         self.sets.iter().flat_map(|s| s.lines.iter())
     }
 
+    /// Iterates over the valid lines of set `set`: every line whose block
+    /// [`CacheGeometry::set_of`] maps there, in no particular order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` is not below [`CacheGeometry::sets`].
+    pub fn set_lines(&self, set: usize) -> impl Iterator<Item = &CacheLine> {
+        self.sets[set].lines.iter()
+    }
+
     /// Partitions the cache into `n_shards` disjoint mutable views, where
     /// shard `k` owns every set with `set_index % n_shards == k` (blocks
     /// select sets by their low bits, so a block's shard is

@@ -36,7 +36,6 @@ mod cache;
 mod line;
 mod protocol;
 mod reference;
-mod table;
 
 pub use addr::{Addr, BlockAddr, BLOCKS_PER_PAGE, BLOCK_BYTES, PAGE_BYTES};
 pub use cache::{Cache, CacheDelta, CacheGeometry, CacheSet, CacheShard, CacheStats};
@@ -46,4 +45,3 @@ pub use protocol::{
     TokenProtocol, WriteOutcome, WriteResult,
 };
 pub use reference::ReferenceProtocol;
-pub use table::BlockMap;

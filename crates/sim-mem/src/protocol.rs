@@ -153,6 +153,12 @@ impl TokenMemory {
         })
     }
 
+    /// Number of blocks whose memory-side holdings differ from the reset
+    /// state: `entries().count()`, as one pass over the ledger bytes.
+    pub fn entry_count(&self) -> usize {
+        self.away.values().iter().filter(|&&a| a != 0).count()
+    }
+
     /// Takes up to `n` tokens from memory; returns `(taken, owner_taken)`.
     /// The owner token is handed out last: it transfers only when the take
     /// empties memory's holdings.
@@ -401,6 +407,10 @@ pub trait TokenLedger: std::fmt::Debug {
     fn memory_has_owner(&self, block: BlockAddr) -> bool;
     /// The non-reset memory-side ledger entries, sorted by block.
     fn memory_entries_sorted(&self) -> Vec<(BlockAddr, u32, bool)>;
+    /// Number of non-reset memory-side ledger entries: the length of
+    /// [`memory_entries_sorted`](Self::memory_entries_sorted), without
+    /// building the list.
+    fn memory_entry_count(&self) -> usize;
 }
 
 /// The token-coherence engine: token conservation across a cache array and
@@ -899,6 +909,10 @@ impl TokenLedger for TokenProtocol {
         v.sort_unstable_by_key(|&(b, _, _)| b);
         v
     }
+
+    fn memory_entry_count(&self) -> usize {
+        self.memory.entry_count()
+    }
 }
 
 #[cfg(test)]
@@ -1208,6 +1222,7 @@ mod tests {
             }
         }
         let expected = tp.memory_entries_sorted();
+        assert_eq!(tp.memory_entry_count(), expected.len());
 
         let mut banks = tp.split_banks(4);
         assert!(
@@ -1235,6 +1250,7 @@ mod tests {
         let (taken, owner) = restored.memory.take(BlockAddr::new(8), line.state.tokens);
         assert_eq!((taken, owner), (line.state.tokens, line.state.owner));
         assert_eq!(restored.memory_entries_sorted(), expected);
+        assert_eq!(restored.memory_entry_count(), expected.len());
     }
 
     #[test]
@@ -1252,8 +1268,11 @@ mod tests {
         assert!(!m.has_owner(b));
         // Taking from empty memory yields nothing.
         assert_eq!(m.take(b, 1), (0, false));
+        assert_eq!(m.entry_count(), 1);
         m.put(b, 8, true);
         assert_eq!(m.tokens(b), 8);
         assert!(m.has_owner(b));
+        // Back in the reset state: the block no longer counts.
+        assert_eq!(m.entry_count(), 0);
     }
 }

@@ -393,4 +393,8 @@ impl TokenLedger for ReferenceProtocol {
         v.sort_unstable_by_key(|&(b, _, _)| b);
         v
     }
+
+    fn memory_entry_count(&self) -> usize {
+        self.memory_entries().count()
+    }
 }

@@ -57,6 +57,11 @@ fn assert_same_state(
         reference.memory_entries_sorted(),
         "ledgers diverged at step {step}"
     );
+    assert_eq!(
+        fast.memory_entry_count(),
+        reference.memory_entry_count(),
+        "ledger entry counts diverged at step {step}"
+    );
     for (i, (f, r)) in fast_caches.iter().zip(ref_caches).enumerate() {
         assert_eq!(
             line_key(f),

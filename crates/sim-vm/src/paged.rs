@@ -111,6 +111,12 @@ impl<V: Copy + Default> PagedTable<V> {
         self.chunk_keys.len()
     }
 
+    /// Every value of every allocated chunk, written or not, chunk by
+    /// chunk in allocation order: [`iter`](Self::iter) without the keys.
+    pub fn values(&self) -> &[V] {
+        &self.data
+    }
+
     /// Iterates over `(key, value)` for every key of every allocated
     /// chunk, written or not, chunk by chunk in allocation order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
