@@ -35,7 +35,7 @@
 //!   marks the registers trusted (fault-free runs, or right after an
 //!   audit repaired them).
 
-use sim_mem::{BlockAddr, Cache, LineTag, TokenLedger, TokenState};
+use sim_mem::{BlockAddr, Cache, LineTag, TokenLedger};
 use sim_vm::{Hypervisor, VmId};
 
 use crate::vcpu_map::VcpuMapFile;
@@ -122,10 +122,15 @@ pub struct CheckerCtx<'a> {
 #[derive(Clone, Debug)]
 pub struct InvariantChecker {
     cfg: CheckerConfig,
-    /// Reusable scratch for the sweep's verdict: the lines of one set
-    /// index across every L2, grouped by block.
-    set_lines: Vec<(BlockAddr, TokenState)>,
-    /// Reusable per-VM line counts for [`check_residence`](Self::check_residence).
+    /// Reusable scratch for the sweep's verdict: the distinct blocks of
+    /// one set index across every L2, with their copies' token sums.
+    set_blocks: Vec<HeldBlock>,
+    /// Per hash bucket, the index in `set_blocks` of its latest block, or
+    /// [`NO_BLOCK`].
+    buckets: Vec<u32>,
+    /// Reusable line counts per L2, one row per cache: one count per VM,
+    /// then the host count. Filled by the sweep's verdict pass or by
+    /// [`check_residence`](Self::check_residence)'s own scan.
     residence_scan: Vec<u64>,
     violations: Vec<Violation>,
     total_violations: u64,
@@ -140,7 +145,8 @@ impl InvariantChecker {
     pub fn new(cfg: CheckerConfig) -> Self {
         InvariantChecker {
             cfg,
-            set_lines: Vec::new(),
+            set_blocks: Vec::new(),
+            buckets: Vec::new(),
             residence_scan: Vec::new(),
             violations: Vec::new(),
             total_violations: 0,
@@ -220,8 +226,8 @@ impl InvariantChecker {
     pub fn check_block(&mut self, cycle: u64, block: BlockAddr, ctx: &CheckerCtx<'_>) {
         self.block_checks += 1;
         let total = ctx.protocol.total_tokens();
-        let mut tokens = ctx.protocol.memory_tokens(block);
-        let mut owners = u32::from(ctx.protocol.memory_has_owner(block));
+        let (mut tokens, owner) = ctx.protocol.memory_state(block);
+        let mut owners = u32::from(owner);
         for (core, cache) in ctx.l2.iter().enumerate() {
             let Some(line) = cache.probe(block) else {
                 continue;
@@ -264,20 +270,27 @@ impl InvariantChecker {
     /// `ctx.maps_trusted`) the map registers.
     ///
     /// The per-block invariants are first judged by a set-major pass that
-    /// records nothing (`held_blocks_verdict`). Only when it finds a fault
-    /// does the sweep run
+    /// records nothing (`held_blocks_verdict`) and counts each L2's lines
+    /// per VM on the way. Only when it finds a fault does the sweep run
     /// [`check_block`](Self::check_block) on every block held in an L2 or
-    /// with tokens away, in ascending block order; those calls record the
-    /// violations, so their classes, details and order are exactly
-    /// `check_block`'s (pinned by a test).
+    /// with tokens away, in ascending block order, and then
+    /// [`check_residence`](Self::check_residence) with its own scan; those
+    /// calls record the violations, so their classes, details and order
+    /// are exactly theirs (pinned by a test). Otherwise the verdict's
+    /// counts are compared with the counters as `check_residence` would.
     pub fn full_sweep(&mut self, cycle: u64, ctx: &CheckerCtx<'_>) {
         self.sweeps += 1;
         self.since_sweep = 0;
         match self.held_blocks_verdict(ctx) {
-            Some(held) => self.block_checks += held,
-            None => self.check_held_and_away(cycle, ctx),
+            Some(held) => {
+                self.block_checks += held;
+                self.compare_residence(cycle, ctx);
+            }
+            None => {
+                self.check_held_and_away(cycle, ctx);
+                self.check_residence(cycle, ctx);
+            }
         }
-        self.check_residence(cycle, ctx);
         self.check_inclusion(cycle, ctx);
         if ctx.maps_trusted {
             self.check_maps(cycle, ctx);
@@ -292,41 +305,66 @@ impl InvariantChecker {
     /// All L2s share one geometry, so set `s` of every cache holds exactly
     /// the blocks that map to `s`: gathering set `s` across the caches
     /// gathers every cached copy of those blocks, and grouping them by
-    /// block needs one small reusable buffer instead of a table of blocks.
+    /// block needs one small reusable table, chained by a hash of the
+    /// block, instead of a table of every block.
     /// A held block that keeps the invariants has a line with a token, so
     /// memory lacks that token and its ledger entry is not in the reset
     /// state; counting the held blocks therefore counts the ledger entries
     /// they account for, and any other entry is tokens held nowhere.
+    ///
+    /// The pass reads every L2 line, so it also fills the residence scan
+    /// that [`compare_residence`](Self::compare_residence) reads; the scan
+    /// is complete only when the verdict is `Some`.
     fn held_blocks_verdict(&mut self, ctx: &CheckerCtx<'_>) -> Option<u64> {
         let geometry = ctx.l2.first()?.geometry();
         if ctx.l2.iter().any(|c| c.geometry() != geometry) {
             return None;
         }
         let total = ctx.protocol.total_tokens();
+        let stride = self.reset_residence_scan(ctx);
+        self.buckets.resize(BUCKETS, NO_BLOCK);
         let mut held = 0u64;
         for set in 0..geometry.sets() as usize {
-            self.set_lines.clear();
-            for cache in ctx.l2 {
-                self.set_lines
-                    .extend(cache.set_lines(set).map(|l| (l.block, l.state)));
-            }
-            self.set_lines.sort_unstable_by_key(|&(block, _)| block);
-            for group in self.set_lines.chunk_by(|a, b| a.0 == b.0) {
-                let block = group[0].0;
-                let mut tokens = ctx.protocol.memory_tokens(block);
-                let mut owners = u32::from(ctx.protocol.memory_has_owner(block));
-                for (_, state) in group {
+            self.set_blocks.clear();
+            self.buckets.fill(NO_BLOCK);
+            for (cache, counts) in ctx
+                .l2
+                .iter()
+                .zip(self.residence_scan.chunks_exact_mut(stride))
+            {
+                for l in cache.set_lines(set) {
+                    tally(counts, l.tag);
+                    let state = l.state;
                     if state.tokens == 0 || (state.dirty && !state.owner) {
                         return None;
                     }
-                    tokens += state.tokens;
-                    owners += u32::from(state.owner);
+                    let head = &mut self.buckets[bucket(l.block)];
+                    let mut at = *head;
+                    while at != NO_BLOCK && self.set_blocks[at as usize].block != l.block {
+                        at = self.set_blocks[at as usize].next;
+                    }
+                    if at == NO_BLOCK {
+                        at = self.set_blocks.len() as u32;
+                        self.set_blocks.push(HeldBlock {
+                            block: l.block,
+                            tokens: 0,
+                            owners: 0,
+                            next: *head,
+                        });
+                        *head = at;
+                    }
+                    let b = &mut self.set_blocks[at as usize];
+                    b.tokens += state.tokens;
+                    b.owners += u32::from(state.owner);
                 }
-                if tokens != total || owners != 1 {
+            }
+            for b in &self.set_blocks {
+                let (tokens, owner) = ctx.protocol.memory_state(b.block);
+                if b.tokens + tokens != total || b.owners + u32::from(owner) != 1 {
                     return None;
                 }
-                held += 1;
             }
+            held += self.set_blocks.len() as u64;
         }
         (held == ctx.protocol.memory_entry_count() as u64).then_some(held)
     }
@@ -357,23 +395,36 @@ impl InvariantChecker {
     /// Verifies every cache's per-VM (and host) residence counters
     /// against an actual scan of its tags.
     pub fn check_residence(&mut self, cycle: u64, ctx: &CheckerCtx<'_>) {
-        let n_vms = ctx.maps.len();
-        let mut counts = std::mem::take(&mut self.residence_scan);
-        for (core, cache) in ctx.l2.iter().enumerate() {
-            counts.clear();
-            counts.resize(n_vms, 0);
-            let mut host = 0u64;
+        let stride = self.reset_residence_scan(ctx);
+        for (cache, counts) in ctx
+            .l2
+            .iter()
+            .zip(self.residence_scan.chunks_exact_mut(stride))
+        {
             for line in cache.lines() {
-                match line.tag {
-                    LineTag::Vm(vm) => {
-                        if (vm.index()) < n_vms {
-                            counts[vm.index()] += 1;
-                        }
-                    }
-                    LineTag::Host => host += 1,
-                }
+                tally(counts, line.tag);
             }
-            for (vm_idx, &expected) in counts.iter().enumerate() {
+        }
+        self.compare_residence(cycle, ctx);
+    }
+
+    /// Zeroes the residence scan for the L2s of `ctx` and returns its row
+    /// length: one count per VM of the map file, then the host count.
+    fn reset_residence_scan(&mut self, ctx: &CheckerCtx<'_>) -> usize {
+        let stride = ctx.maps.len() + 1;
+        self.residence_scan.clear();
+        self.residence_scan.resize(ctx.l2.len() * stride, 0);
+        stride
+    }
+
+    /// Compares every cache's residence counters with its row of the
+    /// residence scan, cache by cache, VMs before the host.
+    fn compare_residence(&mut self, cycle: u64, ctx: &CheckerCtx<'_>) {
+        let scan = std::mem::take(&mut self.residence_scan);
+        let stride = ctx.maps.len() + 1;
+        for (core, (cache, counts)) in ctx.l2.iter().zip(scan.chunks_exact(stride)).enumerate() {
+            let (vms, host) = counts.split_at(stride - 1);
+            for (vm_idx, &expected) in vms.iter().enumerate() {
                 let counter = cache.residence(VmId::new(vm_idx as u16));
                 if counter != expected {
                     self.record(
@@ -385,7 +436,7 @@ impl InvariantChecker {
                     );
                 }
             }
-            let host_counter = cache.host_residence();
+            let (host_counter, host) = (cache.host_residence(), host[0]);
             if host_counter != host {
                 self.record(
                     cycle,
@@ -394,7 +445,7 @@ impl InvariantChecker {
                 );
             }
         }
-        self.residence_scan = counts;
+        self.residence_scan = scan;
     }
 
     /// Verifies the inclusive hierarchy: every L1 line has an L2 backer.
@@ -443,6 +494,40 @@ impl InvariantChecker {
                 );
             }
         }
+    }
+}
+
+/// One block of the set the sweep's verdict is judging: the tokens and
+/// owner tokens its cached copies hold, and the previous block of its
+/// hash bucket.
+#[derive(Clone, Copy, Debug)]
+struct HeldBlock {
+    block: BlockAddr,
+    tokens: u32,
+    owners: u32,
+    next: u32,
+}
+
+/// Hash buckets of the verdict's per-set block table.
+const BUCKETS: usize = 256;
+/// An empty bucket, or the end of a chain.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// The verdict's hash bucket of `block`: the top byte of a multiplicative
+/// hash, which mixes in the high bits that tell one set's blocks apart.
+fn bucket(block: BlockAddr) -> usize {
+    (block.index().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
+}
+
+/// Counts a line tagged `tag` in one cache's row of the residence scan:
+/// a VM the map file knows, or the host in the last slot. A tag naming a
+/// VM beyond the map file is not counted.
+fn tally(counts: &mut [u64], tag: LineTag) {
+    let host = counts.len() - 1;
+    match tag {
+        LineTag::Vm(vm) if vm.index() < host => counts[vm.index()] += 1,
+        LineTag::Vm(_) => {}
+        LineTag::Host => counts[host] += 1,
     }
 }
 
@@ -903,6 +988,40 @@ mod tests {
             clean >= 50 && faulty >= 50,
             "clean {clean}, faulty {faulty}"
         );
+    }
+
+    /// Residence faults alone leave the per-block verdict passing, so the
+    /// sweep judges the counters from the verdict's own counts; what it
+    /// records must equal `check_residence`'s standalone scan.
+    #[test]
+    fn sweep_residence_from_verdict_matches_standalone_scan() {
+        let (l1, mut l2, mut protocol, maps, hv) = machine();
+        for (i, core) in [0usize, 1, 2, 3, 1, 0, 2].into_iter().enumerate() {
+            let others: Vec<usize> = (0..N).filter(|&j| j != core).collect();
+            let vm = LineTag::Vm(VmId::new((i % 2) as u16));
+            let b = BlockAddr::new(3 + 5 * i as u64);
+            let r = protocol.read_miss(&mut l2, core, &others, b, true, vm, ReadMode::Strict);
+            assert!(r.success);
+        }
+        // Tags rewritten behind the counters: to the other VM, to the
+        // host, and to a VM beyond the map file, which no scan counts.
+        l2[0].probe_mut(BlockAddr::new(3)).unwrap().tag = LineTag::Vm(VmId::new(1));
+        l2[1].probe_mut(BlockAddr::new(8)).unwrap().tag = LineTag::Host;
+        l2[2].probe_mut(BlockAddr::new(13)).unwrap().tag = LineTag::Vm(VmId::new(5));
+
+        let cfg = CheckerConfig {
+            sweep_every: 0,
+            max_recorded: 100,
+        };
+        let c = ctx(&l1, &l2, &protocol, &maps, &hv);
+        let mut swept = InvariantChecker::new(cfg);
+        swept.full_sweep(4, &c);
+        let reference = reference_sweep(4, cfg, &c);
+        let got = recorded(&swept);
+        assert_eq!(got.len(), 5, "{got:?}");
+        assert!(got.iter().all(|v| v.1 == InvariantKind::ResidenceCounter));
+        assert_eq!(got, recorded(&reference));
+        assert_eq!(swept.block_checks(), reference.block_checks());
     }
 
     #[test]

@@ -689,12 +689,13 @@ impl BlockView {
         block: BlockAddr,
         first: u64,
     ) -> Self {
+        let (mem_tokens, mem_owner) = ledger.memory_state(block);
         let mut view = BlockView {
             holders: 0,
             owner: None,
             tokens: [0; 64],
-            mem_tokens: ledger.memory_tokens(block),
-            mem_owner: ledger.memory_has_owner(block),
+            mem_tokens,
+            mem_owner,
             have: None,
             total: ledger.total_tokens(),
         };

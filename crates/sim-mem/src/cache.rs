@@ -139,10 +139,50 @@ impl CacheStats {
 /// Stamps are `u32`, which keeps a [`CacheLine`] at 24 bytes. Before the
 /// clock would wrap, a cold path rewrites the set's stamps to `1..=len`
 /// in their existing order, so victims stay exactly LRU.
+///
+/// `fingerprints` is a partial-tag filter over the first
+/// [`FILTERED_WAYS`] ways: byte `i` is [`fingerprint`] of way `i`'s block,
+/// or 0 when the way is empty. A lookup compares all eight bytes in a few
+/// word operations and reads a line only where its byte matches, so a
+/// probe of a set that does not hold the block usually reads no line.
+/// The filter is exact: every candidate's full `block` is compared, so a
+/// fingerprint collision costs one line read, never a wrong answer.
 #[derive(Clone, Debug, Default)]
 pub struct CacheSet {
     lines: Vec<CacheLine>,
+    fingerprints: u64,
     clock: u32,
+}
+
+// The warm pool clones every set header: any growth must be deliberate.
+const _: () = assert!(std::mem::size_of::<CacheSet>() == 40);
+
+/// Ways covered by [`CacheSet`]'s fingerprint word, one byte each. Ways
+/// beyond it (only in caches wider than the paper's 8-way L2) are
+/// scanned line by line.
+const FILTERED_WAYS: usize = 8;
+
+/// `0x01` in every byte of a word.
+const LOW_BYTES: u64 = u64::from_ne_bytes([0x01; 8]);
+/// `0x7F` in every byte of a word.
+const LOW_SEVEN: u64 = u64::from_ne_bytes([0x7F; 8]);
+
+/// The nonzero partial tag of `block`: the high byte of a multiplicative
+/// hash, so blocks of one set, which share their low bits, still spread
+/// over all byte values. Zero is reserved for an empty way.
+#[inline(always)]
+fn fingerprint(block: BlockAddr) -> u8 {
+    let h = (block.index().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8;
+    h | u8::from(h == 0)
+}
+
+/// `0x80` in exactly the bytes of `x` that are zero. Adding `0x7F` to the
+/// low seven bits of a byte sets its top bit unless they are all zero, and
+/// masking in `x` itself adds the byte's own top bit; no carry crosses a
+/// byte, so no byte is flagged falsely.
+#[inline(always)]
+fn zero_bytes(x: u64) -> u64 {
+    !(((x & LOW_SEVEN) + LOW_SEVEN) | x | LOW_SEVEN)
 }
 
 /// What [`CacheSet::insert_line`] did, so the caller (full cache or
@@ -163,16 +203,42 @@ impl CacheSet {
         &self.lines
     }
 
-    /// The way holding `block`. One pass over every way sets one bit per
-    /// match, with no early exit; a set holds a block at most once, so the
-    /// lowest set bit is the way.
+    /// The way holding `block`. The fingerprint word names the candidate
+    /// ways among the first [`FILTERED_WAYS`], lowest first, and each
+    /// candidate's full block is compared; ways beyond them are scanned.
+    /// A set holds a block at most once, so the first match is the way.
     #[inline(always)]
     fn way(&self, block: BlockAddr) -> Option<usize> {
-        let mut hits = 0u64;
-        for (i, l) in self.lines.iter().enumerate() {
-            hits |= u64::from(l.block == block) << i;
+        let mut candidates =
+            zero_bytes(self.fingerprints ^ (u64::from(fingerprint(block)) * LOW_BYTES));
+        while candidates != 0 {
+            let way = (candidates.trailing_zeros() / 8) as usize;
+            if self.lines.get(way).is_some_and(|l| l.block == block) {
+                return Some(way);
+            }
+            candidates &= candidates - 1;
         }
-        (hits != 0).then(|| hits.trailing_zeros() as usize)
+        let wide = self.lines.get(FILTERED_WAYS..)?;
+        Some(FILTERED_WAYS + wide.iter().position(|l| l.block == block)?)
+    }
+
+    /// Writes `way`'s fingerprint byte, if the word covers that way.
+    #[inline(always)]
+    fn set_fingerprint(&mut self, way: usize, fp: u8) {
+        if way < FILTERED_WAYS {
+            let shift = 8 * way;
+            self.fingerprints = self.fingerprints & !(0xFF << shift) | u64::from(fp) << shift;
+        }
+    }
+
+    /// The fingerprint word recomputed from the lines.
+    #[cfg(test)]
+    fn fingerprints_from_lines(&self) -> u64 {
+        let mut word = 0;
+        for (way, l) in self.lines.iter().take(FILTERED_WAYS).enumerate() {
+            word |= u64::from(fingerprint(l.block)) << (8 * way);
+        }
+        word
     }
 
     /// Stats-free lookup.
@@ -235,7 +301,9 @@ impl CacheSet {
             *existing = line;
             return InsertOutcome::Replaced(old_tag);
         }
+        let fp = fingerprint(line.block);
         if self.lines.len() < ways {
+            self.set_fingerprint(self.lines.len(), fp);
             self.lines.push(line);
             return InsertOutcome::Pushed;
         }
@@ -247,12 +315,17 @@ impl CacheSet {
             .min_by_key(|(_, l)| l.last_use)
             .map(|(i, _)| i)
             .expect("full set is non-empty");
+        self.set_fingerprint(victim_idx, fp);
         InsertOutcome::Evicted(std::mem::replace(&mut self.lines[victim_idx], line))
     }
 
-    /// Removes and returns the line caching `block`, if present.
+    /// Removes and returns the line caching `block`, if present. The last
+    /// way moves into the freed one, and its fingerprint byte with it.
     pub(crate) fn remove_line(&mut self, block: BlockAddr) -> Option<CacheLine> {
         let way = self.way(block)?;
+        let last = self.lines.len() - 1;
+        self.set_fingerprint(way, fingerprint(self.lines[last].block));
+        self.set_fingerprint(last, 0);
         Some(self.lines.swap_remove(way))
     }
 }
@@ -296,6 +369,7 @@ impl Cache {
             sets: vec![
                 CacheSet {
                     lines: Vec::with_capacity(geometry.ways()),
+                    fingerprints: 0,
                     clock: 0,
                 };
                 geometry.sets() as usize
@@ -318,6 +392,7 @@ impl Cache {
 
     /// Performs a stats-counting lookup, touching LRU state on a hit.
     /// Returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr) -> bool {
         self.access_mut(block).is_some()
     }
@@ -325,6 +400,7 @@ impl Cache {
     /// [`Cache::access`] that also returns the hit line for in-place
     /// token updates, so a lookup followed by an update finds the line
     /// once. The same rule as [`Cache::probe_mut`] applies to the line.
+    #[inline]
     pub fn access_mut(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
         self.stats.accesses += 1;
         let set = self.geometry.set_of(block);
@@ -335,6 +411,7 @@ impl Cache {
 
     /// Returns the line caching `block`, if present, without touching LRU
     /// or statistics.
+    #[inline]
     pub fn probe(&self, block: BlockAddr) -> Option<&CacheLine> {
         self.sets[self.geometry.set_of(block)].find(block)
     }
@@ -344,7 +421,10 @@ impl Cache {
     ///
     /// Callers must not set `state.tokens` to zero through this reference;
     /// use [`remove`](Self::remove) to drop a line so residence counters
-    /// stay consistent.
+    /// stay consistent. Nor may they change the line's `block`: the set
+    /// was chosen by it and its fingerprint byte was hashed from it, so a
+    /// rewritten block would be lost to every later lookup.
+    #[inline]
     pub fn probe_mut(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
         self.sets[self.geometry.set_of(block)].find_mut(block)
     }
@@ -353,6 +433,7 @@ impl Cache {
     ///
     /// If the block is already present its state and tag are replaced
     /// (residence counters adjusted accordingly) and nothing is evicted.
+    #[inline]
     pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
         let set_idx = self.geometry.set_of(line.block);
         let tag = line.tag;
@@ -378,6 +459,7 @@ impl Cache {
 
     /// Removes and returns the line caching `block` (snoop invalidation or
     /// full token surrender).
+    #[inline]
     pub fn remove(&mut self, block: BlockAddr) -> Option<CacheLine> {
         let set = self.geometry.set_of(block);
         let line = self.sets[set].remove_line(block)?;
@@ -816,6 +898,196 @@ mod tests {
             wraps += usize::from(near_top.clock < clock);
         }
         assert_eq!(wraps, 4);
+    }
+
+    /// A naive set: lines in slot order, each with the global op number
+    /// of its last use, looked up by a plain scan.
+    #[derive(Default)]
+    struct ModelSet(Vec<(CacheLine, u64)>);
+
+    impl ModelSet {
+        fn way(&self, block: BlockAddr) -> Option<usize> {
+            self.0.iter().position(|(l, _)| l.block == block)
+        }
+    }
+
+    /// Runs seeded insert/access/probe/remove mixes against a cache and
+    /// a per-set model of it. Half the blocks are drawn from groups that
+    /// share one set *and* one fingerprint byte, so the filter's
+    /// candidates are often false and only the full-block compare tells
+    /// them apart. After every op the probe results, victims, slot order,
+    /// residence counters and the fingerprint word (against one rebuilt
+    /// from the lines) must agree.
+    fn filtered_lookup_matches_model(ways: usize, seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        const SETS: u64 = 4;
+        const VMS: u16 = 3;
+        let mut c = Cache::new(
+            CacheGeometry::new(SETS * ways as u64 * 64, ways),
+            VMS as usize,
+        );
+        let mut model: Vec<ModelSet> = (0..SETS).map(|_| ModelSet::default()).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+
+        // Per set, a group of blocks sharing one fingerprint byte, large
+        // enough to fill every way plus some.
+        let colliding: Vec<Vec<u64>> = (0..SETS)
+            .map(|set| {
+                let mut by_fp: Vec<Vec<u64>> = vec![Vec::new(); 256];
+                let mut k = 0;
+                loop {
+                    let b = set + k * SETS;
+                    let group = &mut by_fp[usize::from(fingerprint(BlockAddr::new(b)))];
+                    group.push(b);
+                    if group.len() == ways + 3 {
+                        break group.clone();
+                    }
+                    k += 1;
+                }
+            })
+            .collect();
+        let pool = 3 * ways as u64 * SETS;
+        let mut collisions = 0u64;
+
+        for op in 0..4000u64 {
+            let b = if rng.gen_bool(0.5) {
+                BlockAddr::new(rng.gen_range(0..pool))
+            } else {
+                let group = &colliding[rng.gen_range(0..SETS as usize)];
+                BlockAddr::new(group[rng.gen_range(0..group.len())])
+            };
+            let set = c.geometry().set_of(b);
+            let m = &mut model[set];
+            match rng.gen_range(0..5u32) {
+                0 | 1 => {
+                    let tag = if rng.gen_bool(0.2) {
+                        LineTag::Host
+                    } else {
+                        LineTag::Vm(VmId::new(rng.gen_range(0..VMS)))
+                    };
+                    let state = TokenState {
+                        tokens: rng.gen_range(1..5u32),
+                        owner: rng.gen_bool(0.5),
+                        dirty: false,
+                    };
+                    let new = CacheLine::new(b, state, tag);
+                    let expected = match m.way(b) {
+                        Some(w) => {
+                            m.0[w] = (new, op);
+                            None
+                        }
+                        None if m.0.len() < ways => {
+                            m.0.push((new, op));
+                            None
+                        }
+                        None => {
+                            let w = (0..m.0.len()).min_by_key(|&w| m.0[w].1).unwrap();
+                            Some(std::mem::replace(&mut m.0[w], (new, op)).0.block)
+                        }
+                    };
+                    let victim = c.insert(new).map(|l| l.block);
+                    assert_eq!(victim, expected, "{ways} ways: victim at op {op}");
+                }
+                2 => {
+                    let hit = m.way(b).inspect(|&w| m.0[w].1 = op).is_some();
+                    assert_eq!(c.access(b), hit, "{ways} ways: access at op {op}");
+                }
+                3 => {
+                    let want = m.way(b).map(|w| m.0[w].0.state);
+                    assert_eq!(
+                        c.probe(b).map(|l| l.state),
+                        want,
+                        "{ways} ways: probe at op {op}"
+                    );
+                    if let Some(line) = c.probe_mut(b) {
+                        line.state.dirty = line.state.owner;
+                        let w = m.way(b).unwrap();
+                        m.0[w].0.state.dirty = m.0[w].0.state.owner;
+                    }
+                }
+                _ => {
+                    let want = m.way(b).map(|w| m.0.swap_remove(w).0.block);
+                    assert_eq!(
+                        c.remove(b).map(|l| l.block),
+                        want,
+                        "{ways} ways: remove at op {op}"
+                    );
+                }
+            }
+            // A colliding block the set does not hold still matches a
+            // fingerprint byte: the filter's candidate must be refuted.
+            let fps = c.sets[set].fingerprints;
+            collisions += u64::from(
+                c.probe(b).is_none()
+                    && zero_bytes(fps ^ (u64::from(fingerprint(b)) * LOW_BYTES)) != 0,
+            );
+            for (cs, ms) in c.sets.iter().zip(&model) {
+                let got: Vec<_> = cs
+                    .lines()
+                    .iter()
+                    .map(|l| (l.block, l.tag, l.state))
+                    .collect();
+                let want: Vec<_> =
+                    ms.0.iter()
+                        .map(|(l, _)| (l.block, l.tag, l.state))
+                        .collect();
+                assert_eq!(got, want, "{ways} ways: slot order at op {op}");
+                assert_eq!(
+                    cs.fingerprints,
+                    cs.fingerprints_from_lines(),
+                    "{ways} ways: op {op}"
+                );
+            }
+            for vm in 0..VMS {
+                let tag = LineTag::Vm(VmId::new(vm));
+                let n = model
+                    .iter()
+                    .flat_map(|m| &m.0)
+                    .filter(|(l, _)| l.tag == tag)
+                    .count();
+                assert_eq!(c.residence(VmId::new(vm)), n as u64, "{ways} ways: op {op}");
+            }
+            let hosts = model
+                .iter()
+                .flat_map(|m| &m.0)
+                .filter(|(l, _)| l.tag == LineTag::Host);
+            assert_eq!(
+                c.host_residence(),
+                hosts.count() as u64,
+                "{ways} ways: op {op}"
+            );
+        }
+        if ways > 1 {
+            assert!(
+                collisions > 100,
+                "{ways} ways: only {collisions} refuted candidates"
+            );
+        }
+    }
+
+    #[test]
+    fn filtered_lookup_matches_model_at_every_width() {
+        for ways in [1, 4, 8, 16, 64] {
+            filtered_lookup_matches_model(ways, 0xF1_7E57 + ways as u64);
+        }
+    }
+
+    #[test]
+    fn zero_bytes_flags_exactly_the_zero_bytes() {
+        for x in [
+            0u64,
+            u64::MAX,
+            0x0100_FF00_0080_7F01,
+            0x8000_0000_0000_0000,
+            1,
+        ] {
+            let want = (0..8).fold(0, |acc, i| {
+                acc | u64::from((x >> (8 * i)) as u8 == 0) << (8 * i + 7)
+            });
+            assert_eq!(zero_bytes(x), want, "{x:#018x}");
+        }
     }
 
     /// The shard view must be operation-for-operation identical to the

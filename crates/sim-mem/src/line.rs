@@ -116,7 +116,10 @@ impl From<Agent> for LineTag {
 /// One cache line: block identity, token holdings, VM tag, LRU timestamp.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CacheLine {
-    /// The cached block.
+    /// The cached block. Never change it on a line a cache holds (through
+    /// [`Cache::probe_mut`](crate::Cache::probe_mut) or
+    /// [`Cache::access_mut`](crate::Cache::access_mut)): the cache files the
+    /// line under its set and fingerprint, which are derived from it.
     pub block: BlockAddr,
     /// Token holdings.
     pub state: TokenState,

@@ -110,6 +110,7 @@ impl TokenMemory {
     }
 
     /// `(tokens, owner)` held at memory, from a ledger byte.
+    #[inline]
     fn decode(&self, away: u8) -> (u32, bool) {
         (
             self.total - u32::from(away & !OWNER_AWAY),
@@ -118,24 +119,35 @@ impl TokenMemory {
     }
 
     /// Tokens per block in the whole system.
+    #[inline]
     pub fn total(&self) -> u32 {
         self.total
     }
 
     /// Tokens currently held at memory for `block`.
+    #[inline]
     pub fn tokens(&self, block: BlockAddr) -> u32 {
-        self.decode(self.away.get(block.index())).0
+        self.state(block).0
+    }
+
+    /// `(tokens, owner)` held at memory for `block`: [`tokens`](Self::tokens)
+    /// and [`has_owner`](Self::has_owner) from one read of its ledger byte.
+    #[inline]
+    pub fn state(&self, block: BlockAddr) -> (u32, bool) {
+        self.decode(self.away.get(block.index()))
     }
 
     /// Whether memory holds every token of `block`. Tokens are conserved
     /// and a valid line holds at least one, so then no cache holds the
     /// block and a snoop of any cache would miss.
+    #[inline]
     pub fn all_home(&self, block: BlockAddr) -> bool {
         self.away.get(block.index()) & !OWNER_AWAY == 0
     }
 
     /// Whether memory holds the owner token for `block` (and therefore has
     /// clean, authoritative data).
+    #[inline]
     pub fn has_owner(&self, block: BlockAddr) -> bool {
         self.away.get(block.index()) & OWNER_AWAY == 0
     }
@@ -405,6 +417,11 @@ pub trait TokenLedger: std::fmt::Debug {
     fn memory_tokens(&self, block: BlockAddr) -> u32;
     /// Whether memory holds the owner token for `block`.
     fn memory_has_owner(&self, block: BlockAddr) -> bool;
+    /// `(memory_tokens, memory_has_owner)` of `block` in one call; both
+    /// engines answer it from one read of the block's ledger entry.
+    fn memory_state(&self, block: BlockAddr) -> (u32, bool) {
+        (self.memory_tokens(block), self.memory_has_owner(block))
+    }
     /// The non-reset memory-side ledger entries, sorted by block.
     fn memory_entries_sorted(&self) -> Vec<(BlockAddr, u32, bool)>;
     /// Number of non-reset memory-side ledger entries: the length of
@@ -449,11 +466,13 @@ impl TokenProtocol {
     }
 
     /// Tokens per block.
+    #[inline]
     pub fn total_tokens(&self) -> u32 {
         self.memory.total()
     }
 
     /// Tokens currently at memory for `block`.
+    #[inline]
     pub fn memory_tokens(&self, block: BlockAddr) -> u32 {
         self.memory.tokens(block)
     }
@@ -463,6 +482,7 @@ impl TokenProtocol {
     /// memory-side token ledger, so an external invariant checker can
     /// verify conservation and owner uniqueness without reaching into the
     /// protocol's internals.
+    #[inline]
     pub fn memory_has_owner(&self, block: BlockAddr) -> bool {
         self.memory.has_owner(block)
     }
@@ -902,6 +922,10 @@ impl TokenLedger for TokenProtocol {
 
     fn memory_has_owner(&self, block: BlockAddr) -> bool {
         TokenProtocol::memory_has_owner(self, block)
+    }
+
+    fn memory_state(&self, block: BlockAddr) -> (u32, bool) {
+        self.memory.state(block)
     }
 
     fn memory_entries_sorted(&self) -> Vec<(BlockAddr, u32, bool)> {

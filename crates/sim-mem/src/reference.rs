@@ -388,6 +388,11 @@ impl TokenLedger for ReferenceProtocol {
         ReferenceProtocol::memory_has_owner(self, block)
     }
 
+    fn memory_state(&self, block: BlockAddr) -> (u32, bool) {
+        let e = self.memory.entry(block);
+        (e.tokens, e.owner)
+    }
+
     fn memory_entries_sorted(&self) -> Vec<(BlockAddr, u32, bool)> {
         let mut v: Vec<_> = self.memory_entries().collect();
         v.sort_unstable_by_key(|&(b, _, _)| b);

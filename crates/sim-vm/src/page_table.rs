@@ -117,12 +117,14 @@ impl SharingDirectory {
     }
 
     /// Returns the sharing type of `page` (default: VM-private).
+    #[inline]
     pub fn sharing(&self, page: u64) -> SharingType {
         SharingType::decode(self.types.get(page) & !REGISTERED).unwrap_or_default()
     }
 
     /// Returns the VM recorded as owner of `page`, if any. Shared pages
     /// have no single owner.
+    #[inline]
     pub fn owner(&self, page: u64) -> Option<VmId> {
         self.owners.get(page)
     }
