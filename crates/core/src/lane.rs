@@ -230,25 +230,14 @@ impl FilterLane {
             MessageKind::Request
         };
         let src = NodeId::new(c as u16);
-        let mut delivered: u64 = a.dests;
-        let mut worst_req_lat;
-        if self.net.link_faults().is_some() {
-            delivered = 0;
-            worst_req_lat = 0;
-            for d in mask_cores(a.dests) {
-                let out = self.net.send(src, NodeId::new(d as u16), req_kind);
-                worst_req_lat = worst_req_lat.max(out.latency);
-                if out.delivered {
-                    delivered |= 1u64 << d;
-                }
-            }
+        let (delivered, mut worst_req_lat) = if self.net.link_faults().is_some() {
+            // Core `c` is mesh node `c`, so the core mask is a node mask.
+            let out = self.net.send_fanout(src, a.dests, req_kind);
+            (out.delivered, out.latency)
         } else {
-            worst_req_lat = self.net.multicast(
-                src,
-                mask_cores(a.dests).map(|d| NodeId::new(d as u16)),
-                req_kind,
-            );
-        }
+            let nodes = mask_cores(a.dests).map(|d| NodeId::new(d as u16));
+            (a.dests, self.net.multicast(src, nodes, req_kind))
+        };
         let mut memory_heard = a.include_memory;
         if a.include_memory {
             let out = self.net.send_to_memory(src, req_kind);

@@ -474,10 +474,12 @@ fn us_histograms() -> [(&'static str, &'static Histogram); 11] {
 }
 
 /// The full JSON metrics snapshot: what the `metrics` wire op embeds.
-/// Global counters/gauges, every stage histogram (p50/p90/p99/max in
-/// ms), per-tenant request-latency and queue-wait families, the warm
-/// pool, and the process uptime ([`super::mono_ms`]).
-pub fn snapshot_value() -> Value {
+/// Global counters/gauges plus the answering server's
+/// `service_worker_spawns` (its pool's thread starts), every stage
+/// histogram (p50/p90/p99/max in ms), per-tenant request-latency and
+/// queue-wait families, the warm pool, and the process uptime
+/// ([`super::mono_ms`]).
+pub fn snapshot_value(worker_spawns: u64) -> Value {
     let (warm_hits, warm_misses, warm_evictions) = crate::experiments::warm_counters();
     let counters = Value::obj(vec![
         ("requests", Value::UInt(SERVICE_REQUESTS.get())),
@@ -486,6 +488,7 @@ pub fn snapshot_value() -> Value {
         ("warm_hits", Value::UInt(warm_hits)),
         ("warm_misses", Value::UInt(warm_misses)),
         ("warm_evictions", Value::UInt(warm_evictions)),
+        ("service_worker_spawns", Value::UInt(worker_spawns)),
     ]);
     let gauges = Value::obj(vec![(
         "connections",
@@ -646,9 +649,9 @@ pub fn write_prom_if_traced() {
 }
 
 /// The compact field set the heartbeat's `service_metrics` telemetry
-/// record carries: the three lifecycle counters plus the end-to-end
-/// latency summary (ms).
-pub fn heartbeat_fields() -> Vec<(&'static str, Value)> {
+/// record carries: the three lifecycle counters, the end-to-end latency
+/// summary (ms), and the emitting server's `service_worker_spawns`.
+pub fn heartbeat_fields(worker_spawns: u64) -> Vec<(&'static str, Value)> {
     let s = SERVICE_REQUEST_US.snapshot();
     vec![
         ("requests", Value::UInt(SERVICE_REQUESTS.get())),
@@ -665,6 +668,7 @@ pub fn heartbeat_fields() -> Vec<(&'static str, Value)> {
             Value::Float(s.quantile(99.0) as f64 / 1000.0),
         ),
         ("latency_max_ms", Value::Float(s.max as f64 / 1000.0)),
+        ("service_worker_spawns", Value::UInt(worker_spawns)),
     ]
 }
 
@@ -761,8 +765,14 @@ mod tests {
     #[test]
     fn snapshot_value_and_prometheus_render() {
         record_request("metrics-unit-test-tenant", 1234);
-        let v = snapshot_value();
-        assert!(v.get("counters").is_some());
+        let v = snapshot_value(2);
+        let counters = v.get("counters").expect("counters");
+        assert_eq!(
+            counters
+                .get("service_worker_spawns")
+                .and_then(Value::as_u64),
+            Some(2)
+        );
         assert!(v.get("histograms").is_some());
         let text = prometheus();
         assert!(text.contains("# TYPE vsnoop_service_request_us histogram"));

@@ -3,7 +3,7 @@
 //! Turns every figure/table experiment into a named, seeded [`Job`]
 //! executed under supervision:
 //!
-//! - a bounded worker pool runs each attempt on its own thread through
+//! - a worker pool started with the campaign runs each attempt through
 //!   the [`attempt`] path, which this runner, the service scheduler and
 //!   [`scatter`] share: panics become typed [`JobError`]s, so one bad
 //!   experiment cannot take down a multi-hour campaign, and a watchdog

@@ -1,11 +1,12 @@
 //! The campaign supervisor: bounded worker pool, retry/backoff,
 //! checkpointing, reproducers.
 //!
-//! Each job attempt runs on its own thread through the shared attempt
-//! path ([`super::attempt`]: isolation, outcome, watchdog), so a panic in
-//! job 17 becomes a typed [`JobError`] instead of tearing down the whole
-//! multi-minute campaign, and a hung job is cancelled and, if it never
-//! polls, abandoned. Failures are retried with exponential backoff up to
+//! Each job attempt runs on a worker of the campaign's
+//! [`attempt::Pool`] through the shared attempt path ([`super::attempt`]:
+//! isolation, outcome, watchdog), so a panic in job 17 becomes a typed
+//! [`JobError`] instead of tearing down the whole multi-minute campaign,
+//! and a hung job is cancelled and, if it never polls, abandoned to a
+//! replacement worker. Failures are retried with exponential backoff up to
 //! a bounded budget; terminal results are journaled immediately and
 //! failures emit crash-reproducer files.
 
@@ -24,8 +25,8 @@ use super::repro::CrashReproducer;
 /// Supervision parameters for one campaign run.
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
-    /// Worker threads (concurrent jobs). 1 reproduces the classic
-    /// serial campaign exactly.
+    /// Worker threads (concurrent jobs), started with the campaign. 1
+    /// reproduces the classic serial campaign exactly.
     pub workers: usize,
     /// Per-job deadline; `None` disables the watchdog.
     pub timeout: Option<Duration>,
@@ -66,6 +67,9 @@ pub struct CampaignReport {
     pub records: Vec<JobRecord>,
     /// Crash-reproducer files written this run.
     pub repro_paths: Vec<PathBuf>,
+    /// Worker threads the campaign started: `workers` at start-up plus
+    /// one replacement per abandoned attempt.
+    pub worker_spawns: u64,
 }
 
 impl CampaignReport {
@@ -164,8 +168,12 @@ impl CampaignReport {
 enum Slot {
     /// Waiting (or backing off) until `ready_at` for attempt `attempt`.
     Pending { ready_at: Instant, attempt: u32 },
-    /// Attempt `attempt` is running on a worker thread.
-    Running { attempt: u32, watch: Watch },
+    /// Attempt `attempt` is running on a pool worker.
+    Running {
+        attempt: u32,
+        watch: Watch,
+        ticket: attempt::Ticket,
+    },
     /// Terminal.
     Done,
 }
@@ -347,6 +355,8 @@ pub fn run_campaign(
 
     let mut repro_paths = Vec::new();
     let (tx, rx) = mpsc::channel::<(usize, u32, Outcome)>();
+    let pool = attempt::Pool::start(cfg.workers, "vsnoop-job")
+        .map_err(|e| Error::other(format!("spawn failed: {e}")))?;
 
     // Wall-clock bookkeeping for journal records and telemetry: when
     // each job was first dispatched (spanning retries and backoff).
@@ -507,17 +517,18 @@ pub fn run_campaign(
             emit_job_event("job_start", &jobs[idx].spec.name, attempt, Vec::new());
             let run = jobs[idx].run.clone();
             let ctx = attempt::Context::job(&watch.token, &jobs[idx].spec.name, None);
-            let thread_tx = tx.clone();
-            std::thread::Builder::new()
-                .name(format!("job-{}", jobs[idx].spec.name))
-                .spawn(move || {
-                    let outcome = attempt::run(&ctx, &run, attempt);
-                    // The supervisor may have abandoned us; a closed
-                    // channel or a stale attempt is simply ignored.
-                    let _ = thread_tx.send((idx, attempt, outcome));
-                })
-                .map_err(|e| Error::other(format!("spawn failed: {e}")))?;
-            slots[idx] = Slot::Running { attempt, watch };
+            let worker_tx = tx.clone();
+            let ticket = pool.submit(Box::new(move || {
+                let outcome = attempt::run(&ctx, &run, attempt);
+                // The supervisor may have abandoned us; a closed
+                // channel or a stale attempt is simply ignored.
+                let _ = worker_tx.send((idx, attempt, outcome));
+            }));
+            slots[idx] = Slot::Running {
+                attempt,
+                watch,
+                ticket,
+            };
             running += 1;
             hb_state.add_running(&jobs[idx].spec.name);
         }
@@ -540,7 +551,9 @@ pub fn run_campaign(
         };
         match woken {
             Ok((idx, attempt, outcome)) => match &slots[idx] {
-                Slot::Running { attempt: a, watch } if *a == attempt => {
+                Slot::Running {
+                    attempt: a, watch, ..
+                } if *a == attempt => {
                     let timed_out = watch.timed_out();
                     running -= 1;
                     hb_state.remove_running(&jobs[idx].spec.name);
@@ -557,7 +570,12 @@ pub fn run_campaign(
         // Watchdog: cancel overdue attempts; abandon unresponsive ones.
         let now = Instant::now();
         for idx in 0..jobs.len() {
-            let Slot::Running { attempt, watch } = &mut slots[idx] else {
+            let Slot::Running {
+                attempt,
+                watch,
+                ticket,
+            } = &mut slots[idx]
+            else {
                 continue;
             };
             let attempt = *attempt;
@@ -569,13 +587,15 @@ pub fn run_campaign(
                 watch.cancel(now);
             }
             if watch.abandon_at(cfg.grace).is_some_and(|at| now >= at) {
-                // The job is not polling its token: abandon the thread
-                // (it dies with the process) and reclaim the worker slot.
+                // The job is not polling its token: give its worker up
+                // to a replacement and reclaim the slot.
                 progress(&format!(
                     "job {}: unresponsive after cancellation; abandoning thread \
                      (attempt {attempt})",
                     jobs[idx].spec.name
                 ));
+                pool.abandon(ticket)
+                    .map_err(|e| Error::other(format!("spawn failed: {e}")))?;
                 let timed_out = watch.timed_out();
                 emit_job_event("job_abandoned", &jobs[idx].spec.name, attempt, Vec::new());
                 running -= 1;
@@ -589,5 +609,6 @@ pub fn run_campaign(
     Ok(CampaignReport {
         records,
         repro_paths,
+        worker_spawns: pool.spawns(),
     })
 }

@@ -1,7 +1,10 @@
-//! The scheduler: fair dispatch out of [`Admission`], one worker thread
-//! per running job on the runner's attempt path
-//! ([`crate::runner::attempt`]: context, isolation, outcome, watchdog),
-//! completion collection, `progress` frames, and the drain sequence.
+//! The scheduler: fair dispatch out of [`Admission`] onto the server's
+//! worker pool, which runs each job on the runner's attempt path
+//! ([`crate::runner::attempt`]: context, isolation, outcome, watchdog,
+//! and the [`Pool`](attempt::Pool) of `workers` parked threads started
+//! with the server), completion collection, `progress` frames, and the
+//! drain sequence. No thread starts per job: only a job the watchdog
+//! abandons gets its worker replaced.
 //!
 //! The loop is purely event-driven. Everything it must react to arrives
 //! as a [`SchedMsg`] on one channel — a job became dispatchable, a
@@ -14,7 +17,7 @@
 //! when its `Admitted` message lands, not at the next poll.
 //!
 //! Every state transition of [`Scheduler`] takes `now` as a parameter
-//! and worker threads start through an injectable [`Spawner`], so the
+//! and jobs reach the pool through an injectable [`Submitter`], so the
 //! unit tests below drive deadlines, progress frames and the drain
 //! single-threaded on a made-up clock.
 
@@ -40,7 +43,7 @@ pub(super) enum SchedMsg {
     /// A job joined the dispatch queue (published by the admission
     /// thread, or re-enqueued by recovery).
     Admitted,
-    /// Job `.0`'s worker thread finished.
+    /// Job `.0`'s worker finished it.
     Completed(u64, Outcome),
     /// Begin the graceful drain.
     Stop,
@@ -56,14 +59,16 @@ pub(super) struct Unbuildable {
     pub(super) error: JobError,
 }
 
-/// Starts a named worker thread running `body`. The scheduler goes
-/// through this seam so a test can refuse, or never run, a worker.
-type Spawner = fn(String, Box<dyn FnOnce() + Send>) -> std::io::Result<()>;
+/// Hands a job's `body` to a worker of `pool`. The scheduler goes
+/// through this seam so a test can refuse a job, never run it, or run it
+/// inline.
+type Submitter = fn(&attempt::Pool, attempt::Task) -> std::io::Result<attempt::Ticket>;
 
-/// The production [`Spawner`]. Workers are detached on purpose: a job
-/// that never polls its token is abandoned, not joined.
-fn spawn_thread(name: String, body: Box<dyn FnOnce() + Send>) -> std::io::Result<()> {
-    std::thread::Builder::new().name(name).spawn(body).map(drop)
+/// The production [`Submitter`]: the job waits for the next parked
+/// worker. Workers are never joined: a job that never polls its token is
+/// abandoned to a replacement worker instead.
+fn to_pool(pool: &attempt::Pool, body: attempt::Task) -> std::io::Result<attempt::Ticket> {
+    Ok(pool.submit(body))
 }
 
 /// Why a running job's token was cancelled.
@@ -79,6 +84,8 @@ struct Running {
     name: String,
     seed: u64,
     watch: Watch,
+    /// The pool's handle on the job's task, for the watchdog.
+    ticket: attempt::Ticket,
     tag: Option<String>,
     idem_key: Option<String>,
     writer: Option<ConnWriter>,
@@ -151,7 +158,7 @@ struct Scheduler {
     /// The scheduler is the journal's only writer.
     journal: Option<Journal>,
     running: HashMap<u64, Running>,
-    spawn: Spawner,
+    submit: Submitter,
     draining: bool,
     /// When the drain stops waiting for natural finishes and cancels
     /// every running token; taken once it has.
@@ -159,7 +166,7 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(shared: Arc<Shared>, spawn: Spawner) -> Scheduler {
+    fn new(shared: Arc<Shared>, submit: Submitter) -> Scheduler {
         let journal = shared.cfg.journal_path.as_deref().and_then(|p| {
             Journal::open_with_sync(p, false, shared.cfg.sync)
                 .map_err(|e| eprintln!("service: journal {}: {e}", p.display()))
@@ -169,7 +176,7 @@ impl Scheduler {
             shared,
             journal,
             running: HashMap::new(),
-            spawn,
+            submit,
             draining: false,
             drain_cancel_at: None,
         }
@@ -238,6 +245,9 @@ impl Scheduler {
         }
         for id in abandoned {
             let run = self.running.remove(&id).expect("abandoned id vanished");
+            if let Err(e) = self.shared.pool.abandon(&run.ticket) {
+                eprintln!("service: no replacement for job {id}'s worker: {e}");
+            }
             let outcome = Err(run.cancel_error("drain: abandoned (never polled)"));
             self.finish_running(id, run, outcome, now);
         }
@@ -299,8 +309,8 @@ impl Scheduler {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Starts the worker thread for one dispatched job and records it
-    /// in the running map.
+    /// Hands one dispatched job to the pool and records it in the
+    /// running map.
     fn dispatch(&mut self, tenant: String, pending: Pending, now: Instant) {
         let Pending {
             job_id,
@@ -318,27 +328,25 @@ impl Scheduler {
         );
         let watch = Watch::start(now, Some(deadline));
         let ctx = attempt::Context::job(&watch.token, &job.spec.name, Some(&tenant));
-        self.running.insert(
-            job_id,
-            Running {
-                tenant: tenant.clone(),
-                name: job.spec.name.clone(),
-                seed: job.spec.seed,
-                watch,
-                tag,
-                idem_key,
-                writer,
-                received,
-                cancel_cause: None,
-                last_progress: now,
-            },
-        );
+        let mut run = Running {
+            tenant: tenant.clone(),
+            name: job.spec.name.clone(),
+            seed: job.spec.seed,
+            watch,
+            ticket: attempt::Ticket::default(),
+            tag,
+            idem_key,
+            writer,
+            received,
+            cancel_cause: None,
+            last_progress: now,
+        };
         if crate::obs::telemetry_active() {
             crate::obs::telemetry::emit(
                 "service_dispatch",
                 vec![
                     ("job_id", Value::UInt(job_id)),
-                    ("tenant", Value::Str(tenant.clone())),
+                    ("tenant", Value::Str(tenant)),
                     ("job", Value::Str(job.spec.name.clone())),
                 ],
             );
@@ -350,14 +358,19 @@ impl Scheduler {
             // closed channel is simply ignored.
             let _ = tx.send(SchedMsg::Completed(job_id, outcome));
         };
-        if (self.spawn)(format!("vsnoop-svc-job-{job_id}"), Box::new(body)).is_err() {
-            // Thread spawn failure (resource exhaustion): fail the job
-            // through the normal path rather than leaking the slot.
-            let run = self.running.remove(&job_id).expect("just inserted");
-            let outcome = Err(JobError::Failed {
-                message: "service: could not spawn worker thread".into(),
-            });
-            self.finish_running(job_id, run, outcome, now);
+        match (self.submit)(&self.shared.pool, Box::new(body)) {
+            Ok(ticket) => {
+                run.ticket = ticket;
+                self.running.insert(job_id, run);
+            }
+            // A refused start: fail the job through the normal path
+            // rather than leaking the slot.
+            Err(_) => {
+                let outcome = Err(JobError::Failed {
+                    message: "service: could not spawn worker thread".into(),
+                });
+                self.finish_running(job_id, run, outcome, now);
+            }
         }
     }
 
@@ -437,7 +450,7 @@ pub(super) fn scheduler_loop(
     rx: Receiver<SchedMsg>,
     unbuildable: Vec<Unbuildable>,
 ) -> ServiceReport {
-    let mut sched = Scheduler::new(Arc::clone(shared), spawn_thread);
+    let mut sched = Scheduler::new(Arc::clone(shared), to_pool);
 
     // Recovered jobs whose factory rejected them: give them a durable
     // terminal outcome right away — "exactly one terminal outcome per
@@ -524,7 +537,10 @@ fn spawn_heartbeat(shared: &Arc<Shared>) -> crate::obs::Heartbeat {
                 ("warm_evictions", Value::UInt(warm_evictions)),
             ],
         );
-        crate::obs::telemetry::emit("service_metrics", metrics::heartbeat_fields());
+        crate::obs::telemetry::emit(
+            "service_metrics",
+            metrics::heartbeat_fields(shared.pool.spawns()),
+        );
     })
 }
 
@@ -629,7 +645,7 @@ mod tests {
         _reactor_end: UnixStream,
     }
 
-    fn rig(cfg: ServiceConfig, spawn: Spawner) -> Rig {
+    fn rig(cfg: ServiceConfig, submit: Submitter) -> Rig {
         let (waker, reactor_end) = reactor::wake_pair().expect("wake pair");
         let (tx, rx) = channel();
         let wal = cfg
@@ -637,9 +653,10 @@ mod tests {
             .as_deref()
             .map(|p| Wal::open(p, false).expect("wal"));
         let factory: crate::service::JobFactory = Arc::new(|_| Err("unused".into()));
-        let shared = Shared::new(cfg, factory, wal, IdemMap::default(), 1, waker, tx);
+        let shared = Shared::new(cfg, factory, wal, IdemMap::default(), 1, waker, tx)
+            .expect("the worker pool starts");
         Rig {
-            sched: Scheduler::new(Arc::new(shared), spawn),
+            sched: Scheduler::new(Arc::new(shared), submit),
             rx,
             _reactor_end: reactor_end,
         }
@@ -679,19 +696,19 @@ mod tests {
             .collect()
     }
 
-    fn refuse(_: String, _: Box<dyn FnOnce() + Send>) -> std::io::Result<()> {
+    fn refuse(_: &attempt::Pool, _: attempt::Task) -> std::io::Result<attempt::Ticket> {
         Err(std::io::Error::other("no threads left"))
     }
 
-    /// Accepts the worker and never runs it: the job stays running
-    /// until the test completes it by hand or a timer gives up on it.
-    fn never_runs(_: String, _: Box<dyn FnOnce() + Send>) -> std::io::Result<()> {
-        Ok(())
+    /// Accepts the job and never runs it: the job stays running until
+    /// the test completes it by hand or a timer gives up on it.
+    fn never_runs(_: &attempt::Pool, _: attempt::Task) -> std::io::Result<attempt::Ticket> {
+        Ok(attempt::Ticket::default())
     }
 
-    fn inline(_: String, body: Box<dyn FnOnce() + Send>) -> std::io::Result<()> {
+    fn inline(_: &attempt::Pool, body: attempt::Task) -> std::io::Result<attempt::Ticket> {
         body();
-        Ok(())
+        Ok(attempt::Ticket::default())
     }
 
     #[test]
@@ -713,6 +730,7 @@ mod tests {
                 name: "unit".into(),
                 seed: 0,
                 watch: Watch::start(t0, Some(deadline_ms as u32 * MS)),
+                ticket: attempt::Ticket::default(),
                 tag: None,
                 idem_key: None,
                 writer: wired.then(|| rig.sched.shared.outbox(0)),

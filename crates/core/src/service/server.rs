@@ -23,15 +23,17 @@
 //!   the dispatch queue only after its `accepted` line is in the
 //!   outbox, and the scheduler is told so at once;
 //! - **scheduler** (one thread, [`super::sched`]): round-robin
-//!   dispatch out of [`Admission`], one worker thread per running job
-//!   (bounded by `workers`), completion collection, the per-job
+//!   dispatch out of [`Admission`] onto the worker pool (at most
+//!   `workers` jobs running), completion collection, the per-job
 //!   deadline watchdog, periodic `progress` frames for running jobs,
 //!   and the drain sequence. It sleeps until a message or a job's
 //!   timer wakes it. It is the only writer of the journal, so journal
 //!   entries land in completion order without interleaving;
-//! - **workers** (one thread per running job): run the job on the
-//!   runner's attempt path ([`crate::runner::attempt`]) and report its
-//!   outcome back over a channel.
+//! - **workers** (`workers` parked threads, started with the server):
+//!   an [`attempt::Pool`] that runs each dispatched job on the runner's
+//!   attempt path ([`crate::runner::attempt`]) and reports its outcome
+//!   back over a channel. A job the watchdog abandons is the only
+//!   reason a thread starts later: the pool replaces its worker.
 //!
 //! Replies never block the reactor either: every connection has an
 //! **outbox** (an unbounded queue of response lines) that any thread —
@@ -67,6 +69,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::obs::metrics;
+use crate::runner::attempt;
 use crate::runner::json::Value;
 use crate::runner::{Job, JobError};
 
@@ -445,6 +448,8 @@ pub(super) struct Shared {
     /// [`SchedulerWakeups`], counted by the scheduler loop.
     pub(super) sched_message_wakeups: AtomicU64,
     pub(super) sched_timer_wakeups: AtomicU64,
+    /// Runs dispatched jobs; dropped with the last handle on the server.
+    pub(super) pool: attempt::Pool,
     pub(super) cfg: ServiceConfig,
     factory: JobFactory,
 }
@@ -458,8 +463,8 @@ impl Shared {
         first_job_id: u64,
         waker: reactor::Waker,
         sched_tx: Sender<SchedMsg>,
-    ) -> Shared {
-        Shared {
+    ) -> std::io::Result<Shared> {
+        Ok(Shared {
             admission: Mutex::new(Admission::new(cfg.queue_cap, cfg.quota)),
             stop: AtomicBool::new(false),
             done: AtomicBool::new(false),
@@ -476,9 +481,10 @@ impl Shared {
             sched_tx,
             sched_message_wakeups: AtomicU64::new(0),
             sched_timer_wakeups: AtomicU64::new(0),
+            pool: attempt::Pool::start(cfg.workers, "vsnoop-svc-worker")?,
             cfg,
             factory,
-        }
+        })
     }
 
     /// The write side of a new connection registered under `token`.
@@ -633,7 +639,7 @@ pub fn serve(
         state.max_job_id + 1,
         waker,
         sched_tx,
-    ));
+    )?);
 
     // --- Re-enqueue the recovered backlog. Jobs whose factory no
     // longer recognizes them (registry changed across the restart)
@@ -1290,7 +1296,10 @@ fn handle_request(
             }
         }
         Request::Status => send_line(writer, &shared.status_line()),
-        Request::Metrics => send_line(writer, &protocol::metrics(metrics::snapshot_value())),
+        Request::Metrics => send_line(
+            writer,
+            &protocol::metrics(metrics::snapshot_value(shared.pool.spawns())),
+        ),
         Request::Ping => send_line(writer, &protocol::pong()),
         Request::Shutdown => {
             shared.request_stop();

@@ -203,6 +203,61 @@ fn job_panic_dumps_flight_ring_and_emits_lifecycle() {
     );
 }
 
+/// A campaign's jobs share its pool's workers, yet each attempt starts
+/// with an empty flight ring: a job that panics after another ran on the
+/// same worker dumps its own events only.
+#[test]
+fn a_panic_on_a_reused_worker_dumps_only_its_own_events() {
+    use vsnoop::obs::flight::{self, FlightEvent};
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = scratch("reused");
+    let _t = Traced::new(&dir);
+
+    let threads = std::sync::Arc::new(Mutex::new(Vec::new()));
+    let job = |name: &str, block: u64, events: u64, panics: bool| {
+        let threads = std::sync::Arc::clone(&threads);
+        Job::new(name, 7, Value::obj(vec![]), move |_ctx| {
+            threads.lock().unwrap().push(std::thread::current().id());
+            for cycle in 0..events {
+                flight::record_tx(FlightEvent {
+                    cycle,
+                    block,
+                    dest_mask: 0,
+                    delivered: 0,
+                    core: 0,
+                    tokens_moved: 0,
+                    attempt: 0,
+                    sharing: 0,
+                    flags: 0,
+                });
+            }
+            assert!(!panics, "deliberate panic after {events} events");
+            Ok(String::new())
+        })
+    };
+    let jobs = [job("first", 0xA, 40, false), job("second", 0xB, 3, true)];
+    let report = run_campaign(&jobs, &RunnerConfig::default(), &mut quiet()).unwrap();
+    assert_eq!((report.succeeded(), report.failed()), (1, 1));
+    assert_eq!(report.worker_spawns, 1);
+    let threads = threads.lock().unwrap();
+    assert_eq!(threads.len(), 2);
+    assert_eq!(threads[0], threads[1], "both jobs ran on the one worker");
+
+    let text = std::fs::read_to_string(dir.join("flight-second-panic.jsonl"))
+        .expect("panic flight dump written");
+    let mut lines = text.lines().map(|l| Value::parse(l).unwrap());
+    let header = lines.next().unwrap();
+    assert_eq!(header.get("events").and_then(Value::as_u64), Some(3));
+    assert_eq!(
+        header.get("recorded_total").and_then(Value::as_u64),
+        Some(3)
+    );
+    let blocks: Vec<u64> = lines
+        .map(|ev| ev.get("block").and_then(Value::as_u64).unwrap())
+        .collect();
+    assert_eq!(blocks, [0xB; 3]);
+}
+
 #[test]
 fn watchdog_timeout_dumps_flight_ring() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -55,9 +55,12 @@ impl Conn {
         }
     }
 
+    /// Sends `line` and its newline in one write: split across two
+    /// segments, the newline would wait for the server's delayed ACK.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send");
-        self.writer.flush().expect("flush");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> Response {
@@ -118,6 +121,8 @@ impl Conn {
 /// - `"poll"`: polls its token forever (ends only by cancellation);
 /// - `"scatter"`: fans 8 forever-polling shards out through
 ///   [`scatter`], flipping `started` once the shards are running;
+/// - `"hang"`: sleeps 1.5 s without polling its token, so a shorter
+///   deadline plus grace abandons its worker;
 /// - anything else: a factory error.
 fn test_factory(started: Arc<AtomicBool>) -> JobFactory {
     Arc::new(move |submit: &Submit| {
@@ -146,6 +151,10 @@ fn test_factory(started: Arc<AtomicBool>) -> JobFactory {
                     }
                 });
                 Ok(format!("{outputs:?}\n"))
+            })),
+            "hang" => Ok(Job::new("hang", 4, Value::obj(vec![]), |_ctx| {
+                std::thread::sleep(Duration::from_millis(1_500));
+                Ok("woke up\n".to_string())
             })),
             other => Err(format!("unknown test job {other:?}")),
         }
@@ -1394,4 +1403,82 @@ fn torn_and_coalesced_frames_assemble_correctly() {
     server.shutdown();
     let report = server.wait();
     assert_eq!(report.done, 2);
+}
+
+/// The server's `service_worker_spawns` counter, scraped through the
+/// `metrics` wire op.
+fn worker_spawns(conn: &mut Conn) -> u64 {
+    conn.send(r#"{"op":"metrics"}"#);
+    match conn.recv() {
+        Response::Metrics(v) => v
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get("service_worker_spawns"))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("service_worker_spawns in {v:?}")),
+        other => panic!("expected metrics, got {other:?}"),
+    }
+}
+
+/// Runs one `quick` job to completion on `conn`.
+fn run_quick(conn: &mut Conn, tag: &str) {
+    conn.submit("acme", "quick", None, tag);
+    match conn.recv_terminal() {
+        Response::Done { outcome, .. } => assert_eq!(outcome, Ok("quick output\n".into())),
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Jobs run on the pool started with the server: after warm-up, 200
+/// zero-work submits start no thread at all.
+#[test]
+fn a_warm_worker_pool_serves_hundreds_of_jobs_without_starting_a_thread() {
+    let cfg = ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    };
+    let server = start(test_factory(Arc::default()), cfg);
+    let mut conn = Conn::open(&server);
+    for i in 0..5 {
+        run_quick(&mut conn, &format!("w{i}"));
+    }
+    assert_eq!(worker_spawns(&mut conn), 2);
+    for i in 0..200 {
+        run_quick(&mut conn, &format!("j{i}"));
+    }
+    assert_eq!(worker_spawns(&mut conn), 2);
+
+    server.shutdown();
+    assert_eq!(server.wait().done, 205);
+}
+
+/// A job that never polls its token is abandoned after its deadline plus
+/// `cancel_grace`; the pool starts exactly one replacement worker, and
+/// the next submit runs on it.
+#[test]
+fn an_abandoned_job_costs_exactly_one_replacement_worker() {
+    let cfg = ServiceConfig {
+        workers: 1,
+        cancel_grace: Duration::from_millis(100),
+        progress_interval: Duration::ZERO,
+        ..ServiceConfig::default()
+    };
+    let server = start(test_factory(Arc::default()), cfg);
+    let mut conn = Conn::open(&server);
+    assert_eq!(worker_spawns(&mut conn), 1);
+
+    conn.submit("acme", "hang", Some(50), "h");
+    match conn.recv_terminal() {
+        Response::Done { outcome, .. } => {
+            assert_eq!(outcome.expect_err("abandoned").0, "timeout");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(worker_spawns(&mut conn), 2);
+    // The only original worker is still asleep in the hung job.
+    run_quick(&mut conn, "after");
+    assert_eq!(worker_spawns(&mut conn), 2);
+
+    server.shutdown();
+    assert_eq!(server.wait().done, 2);
 }

@@ -34,6 +34,6 @@ mod traffic;
 pub use fault::{Delivery, LinkFaultConfig, LinkFaults};
 pub use latency::LatencyModel;
 pub use message::MessageKind;
-pub use network::{Network, SendOutcome};
+pub use network::{FanoutOutcome, Network, SendOutcome};
 pub use topology::{Mesh, NetConfigError, NodeId};
 pub use traffic::TrafficStats;

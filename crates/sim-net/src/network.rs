@@ -33,6 +33,16 @@ pub struct SendOutcome {
     pub latency: u64,
 }
 
+/// Outcome of a fault-aware [`Network::send_fanout`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FanoutOutcome {
+    /// The destinations that receive the message, as a node bit mask.
+    pub delivered: u64,
+    /// The worst leg's latency in cycles, including injected delay (0
+    /// for an empty destination set).
+    pub latency: u64,
+}
+
 /// An on-chip mesh network with memory-controller ports.
 ///
 /// Hop counts and nearest ports come from tables built at construction
@@ -303,6 +313,64 @@ impl Network {
         }
     }
 
+    /// Sends one message to every node of the bit mask `dests` (nodes
+    /// 0-63), each subject to installed link faults: the fault-aware
+    /// [`Network::multicast`].
+    ///
+    /// Destinations are judged in ascending node order, one
+    /// [`LinkFaults::judge`] each, exactly as a loop of
+    /// [`Network::send`]s would; traffic is accounted once for the whole
+    /// set via [`TrafficStats::record_batch`], dropped legs included. The
+    /// latency is the farthest leg's base latency, or a delayed leg's
+    /// base latency plus its delay if that is larger, which is the
+    /// maximum the loop of sends would have returned.
+    pub fn send_fanout(&mut self, src: NodeId, dests: u64, kind: MessageKind) -> FanoutOutcome {
+        let bytes = kind.bytes();
+        let mut delivered = dests;
+        let mut total_hops = 0u64;
+        let mut worst_hops = 0u32;
+        let mut worst_delayed = 0u64;
+        let n = self.port_table.len();
+        let row = &self.hop_table[src.index() * n..][..n];
+        let mut pending = dests;
+        while pending != 0 {
+            let d = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            let hops = row[d];
+            total_hops += u64::from(hops);
+            worst_hops = worst_hops.max(hops);
+            if let Some(t) = &mut self.node_tally {
+                t[d] += u64::from(bytes);
+            }
+            match self.faults.as_mut().map(|f| f.judge(kind)) {
+                None | Some(Delivery::Deliver) => {}
+                Some(Delivery::Delayed(extra)) => {
+                    let late = self.latency.base_latency(hops, bytes) + extra;
+                    worst_delayed = worst_delayed.max(late);
+                }
+                Some(Delivery::Dropped) => delivered &= !(1u64 << d),
+            }
+        }
+        if dests == 0 {
+            return FanoutOutcome {
+                delivered,
+                latency: 0,
+            };
+        }
+        let messages = u64::from(dests.count_ones());
+        self.traffic.record_batch(kind, total_hops, messages);
+        if let Some(t) = &mut self.node_tally {
+            t[src.index()] += u64::from(bytes) * messages;
+        }
+        FanoutOutcome {
+            delivered,
+            latency: self
+                .latency
+                .base_latency(worst_hops, bytes)
+                .max(worst_delayed),
+        }
+    }
+
     /// Fault-aware variant of [`Network::to_memory`]: sends toward the
     /// nearest memory controller, subject to installed link faults.
     pub fn send_to_memory(&mut self, src: NodeId, kind: MessageKind) -> SendOutcome {
@@ -479,6 +547,62 @@ mod tests {
         let out = net.send(NodeId::new(0), NodeId::new(3), MessageKind::Data);
         assert!(out.delivered);
         assert!(out.latency > base && out.latency <= base + 4);
+    }
+
+    /// A fan-out is the loop of [`Network::send`]s it replaces: the same
+    /// fault stream, delivered set, worst latency and traffic, on a
+    /// mesh with drops and delays armed.
+    #[test]
+    fn send_fanout_equals_a_loop_of_sends() {
+        use crate::fault::{LinkFaultConfig, LinkFaults};
+        let faults = LinkFaults::new(
+            LinkFaultConfig {
+                drop_p: 0.3,
+                delay_p: 0.4,
+                max_delay_cycles: 40,
+            },
+            7,
+        );
+        let mut batched = Network::new(Mesh::new(4, 4));
+        batched.install_faults(Some(faults.clone()));
+        batched.enable_node_tally();
+        let mut looped = batched.clone();
+        let mut masks = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..500u16 {
+            masks = masks.rotate_left(13) ^ u64::from(round);
+            let dests = masks & 0xFFFF;
+            let src = NodeId::new(round % 16);
+            let kind = if round % 3 == 0 {
+                MessageKind::Persistent
+            } else {
+                MessageKind::Request
+            };
+            let (mut delivered, mut latency) = (0u64, 0u64);
+            for d in (0..16).filter(|d| dests & (1 << d) != 0) {
+                let out = looped.send(src, NodeId::new(d), kind);
+                latency = latency.max(out.latency);
+                if out.delivered {
+                    delivered |= 1 << d;
+                }
+            }
+            let out = batched.send_fanout(src, dests, kind);
+            assert_eq!(
+                (out.delivered, out.latency),
+                (delivered, latency),
+                "round {round}"
+            );
+        }
+        assert_eq!(batched.traffic(), looped.traffic());
+        assert_eq!(batched.node_bytes(), looped.node_bytes());
+        let (b, l) = (
+            batched.link_faults().unwrap(),
+            looped.link_faults().unwrap(),
+        );
+        assert_eq!((b.drops(), b.delays()), (l.drops(), l.delays()));
+        assert!(
+            b.drops() > 0 && b.delays() > 0,
+            "both faults were exercised"
+        );
     }
 
     #[test]

@@ -142,7 +142,7 @@ mkdir -p "$SVC_DIR"
 # <trace>/metrics.prom and emit service_metrics records on that
 # cadence (OBSERVABILITY.md "Metrics"); checked after the drain.
 VSNOOP_SCALE=quick VSNOOP_TRACE="$SVC_DIR/trace" VSNOOP_HEARTBEAT_MS=100 \
-  ./target/release/serve --addr 127.0.0.1:0 \
+  ./target/release/serve --addr 127.0.0.1:0 --workers 2 \
   --journal "$SVC_DIR/journal.jsonl" \
   --drain-grace-ms 300 --cancel-grace-ms 2000 \
   > "$SVC_DIR/serve.out" 2> "$SVC_DIR/serve.err" &
@@ -158,7 +158,9 @@ SVC_ADDR=$(awk '/^listening on /{print $3; exit}' "$SVC_DIR/serve.out")
 ./target/release/client --addr "$SVC_ADDR" --tenant globex \
   --submit table2 --out "$SVC_DIR/globex" --strict > /dev/null
 # Scrape the metrics wire op off the live server: one JSONL request,
-# one snapshot back, counts covering the two tenants' submits.
+# one snapshot back, counts covering the two tenants' submits. The jobs
+# ran on the two workers started with the server: no thread was
+# started per job.
 SVC_HOST=${SVC_ADDR%:*}
 SVC_PORT=${SVC_ADDR##*:}
 exec 3<>"/dev/tcp/$SVC_HOST/$SVC_PORT"
@@ -168,6 +170,7 @@ exec 3<&- 3>&-
 echo "$METRICS_LINE" | grep -q '"type":"metrics"'
 echo "$METRICS_LINE" | grep -q '"service_request_us"'
 echo "$METRICS_LINE" | grep -q '"tenants"'
+echo "$METRICS_LINE" | grep -q '"service_worker_spawns":2[,}]'
 # Third tenant: a long spin the drain will have to cancel mid-flight.
 ./target/release/client --addr "$SVC_ADDR" --tenant initech \
   --submit spin --spin-ms 60000 > "$SVC_DIR/spin.out" &
