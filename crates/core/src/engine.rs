@@ -30,8 +30,7 @@
 //! Per-shard [`SimStats`], traffic, cache-counter deltas and ledger banks
 //! merge back in fixed shard order at the end of the run, so the final
 //! state and statistics are **bit-identical** to the serial engine — the
-//! worker-sweep differential tests and the frozen reference engine hold
-//! that line. Workloads that need serial-only machinery (fault injection,
+//! worker-sweep differential tests hold that line. Workloads that need serial-only machinery (fault injection,
 //! the runtime checker, counter-based map shrinking, RegionScout, epoch
 //! recording, extra filter lanes) are rejected by [`eligible`] and fall
 //! back to the untouched serial path.
@@ -58,8 +57,7 @@ const BATCH_ROUNDS: usize = 128;
 /// bit-identically. Anything that couples transactions across shards or
 /// observes mid-round global state keeps the serial path.
 pub(super) fn eligible(sim: &Simulator) -> bool {
-    !sim.protocol.is_reference()
-        && sim.faults.is_none()
+    sim.faults.is_none()
         && sim.extra_lanes.is_empty()
         && sim.lane.net.link_faults().is_none()
         && !sim.lane.policy.removes_cores()
@@ -207,7 +205,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
         ..
     } = sim;
 
-    let banks = protocol.fast_mut().split_banks(N_SHARDS);
+    let banks = protocol.split_banks(N_SHARDS);
     let mut per_shard_l1: Vec<Vec<sim_mem::CacheShard<'_>>> =
         (0..N_SHARDS).map(|_| Vec::with_capacity(n)).collect();
     for cache in l1.iter_mut() {
@@ -402,7 +400,7 @@ pub(super) fn run_batched<W: SystemWorkload>(
         }
         banks_back.push(out.bank);
     }
-    protocol.fast_mut().absorb_banks(banks_back);
+    protocol.absorb_banks(banks_back);
 }
 
 fn new_plan(maps: &VcpuMapFile, friends: &[Option<VmId>]) -> BatchPlan {
@@ -538,7 +536,7 @@ fn swap_vcpus_inline(
         let vm = vcpu.vm();
         if lane.maps.add_core(vm.index(), new) {
             lane.stats.map_adds += 1;
-            lane.account_map_sync_fast(cfg, vm);
+            lane.account_map_sync(cfg, vm);
         }
         lane.removal_pending[new.index()][vm.index()] = None;
         if hv.cores_of_vm(vm) & (1 << old.index()) == 0 {

@@ -13,7 +13,7 @@
 //! 1. **The warm pool** — warmed [`SimSnapshot`]s keyed by everything
 //!    the warm-up actually depends on: application profile, machine
 //!    configuration, seed, warm-up length, host activity, content
-//!    sharing, the reference-engine toggle, and — only where the oracle
+//!    sharing, and — only where the oracle
 //!    does *not* prove policy-independence — the policy pair itself
 //!    ([`WarmClass::PerPolicy`]). Cells in the policy-independent class
 //!    warm **once** under the canonical broadcast pair and fork per
@@ -33,7 +33,7 @@
 //!
 //! The caches serve *bit-identical* state — forked-vs-fresh identity
 //! is pinned per policy by `tests/fork_identity.rs`, and campaign
-//! stdout is pinned byte-for-byte by the report differential guard —
+//! stdout is pinned by the frozen report digests of `report_differential` —
 //! so reuse is purely a wall-clock optimization and is always on.
 //!
 //! The pool holds full machine snapshots (megabytes each), so it is
@@ -99,11 +99,6 @@ struct WarmKey {
     host_activity: bool,
     content_sharing: bool,
     class: WarmClass,
-    /// The engine is chosen at construction from a process-global
-    /// toggle; a fast-engine snapshot must never serve a
-    /// reference-engine run (the differential guards flip this
-    /// mid-process).
-    reference_engine: bool,
 }
 
 /// One fully-specified experiment cell (warm-up + measurement).
@@ -136,7 +131,6 @@ impl CellSpec {
                 self.scale.seed,
             ),
             migration_period_bits: self.migration_period_ms.map(f64::to_bits),
-            reference_engine: crate::testing::reference_engine(),
         }
     }
 }
@@ -153,7 +147,6 @@ struct CellKey {
     host_activity: bool,
     scale: (u64, u64, u64),
     migration_period_bits: Option<u64>,
-    reference_engine: bool,
 }
 
 /// The measured outputs the report layer consumes from a finished cell.
@@ -426,7 +419,6 @@ pub(crate) fn warmed_pair(
         host_activity,
         content_sharing,
         class,
-        reference_engine: crate::testing::reference_engine(),
     };
 
     let slot = pool().lock().expect("warm pool poisoned").slot(&key);
@@ -529,13 +521,8 @@ pub(crate) fn lane_cells(spec: &CellSpec, policies: &[FilterPolicy]) -> Vec<Arc<
         .collect()
 }
 
-/// One migrating simulation with a filter lane per spec. The frozen
-/// reference engine takes no extra lanes, so under it each spec runs on
-/// its own.
+/// One migrating simulation with a filter lane per spec.
 fn run_lanes(specs: &[CellSpec]) -> Vec<CellResult> {
-    if crate::testing::reference_engine() {
-        return specs.iter().map(run_cell).collect();
-    }
     let spec = &specs[0];
     let period_ms = spec
         .migration_period_ms

@@ -57,9 +57,6 @@ pub(super) struct LaneCtx<'a> {
     pub(super) region_filter: Option<&'a RegionFilter>,
     pub(super) content_policy: ContentPolicy,
     pub(super) cycle: u64,
-    /// The frozen reference engine is selected: map syncs go through
-    /// [`reference_path::account_map_sync`].
-    pub(super) is_reference: bool,
 }
 
 /// One rung of the retry ladder as the lane's filter chose it.
@@ -490,7 +487,7 @@ impl FilterLane {
     ) {
         if sync_now && self.maps.add_core(vm.index(), new) {
             self.stats.map_adds += 1;
-            self.account_map_sync(ctx, vm);
+            self.account_map_sync(ctx.cfg, vm);
         }
         // The VM reappeared on `new`: cancel any pending removal timer.
         self.removal_pending[new.index()][vm.index()] = None;
@@ -563,7 +560,7 @@ impl FilterLane {
         }
         self.maps.remove_core(vm.index(), CoreId::new(j as u16));
         self.stats.map_removes += 1;
-        self.account_map_sync(ctx, vm);
+        self.account_map_sync(ctx.cfg, vm);
         let period = self.removal_pending[j][vm.index()]
             .take()
             .map(|t0| ctx.cycle - t0);
@@ -577,15 +574,7 @@ impl FilterLane {
 
     /// Charges the vCPU-map synchronization messages: the hypervisor sends
     /// the new value to every core in the (updated) map.
-    pub(super) fn account_map_sync(&mut self, ctx: &LaneCtx<'_>, vm: VmId) {
-        if ctx.is_reference {
-            return reference_path::account_map_sync(&mut self.net, &self.maps, ctx.cfg, vm);
-        }
-        self.account_map_sync_fast(ctx.cfg, vm);
-    }
-
-    /// The allocation-free body of [`FilterLane::account_map_sync`].
-    pub(super) fn account_map_sync_fast(&mut self, cfg: &SystemConfig, vm: VmId) {
+    pub(super) fn account_map_sync(&mut self, cfg: &SystemConfig, vm: VmId) {
         // Mask to physical cores: a corrupted register can hold bits
         // beyond the mesh, but the hypervisor's update broadcast only ever
         // targets real cores.

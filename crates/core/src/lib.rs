@@ -57,7 +57,6 @@ pub mod runner;
 pub mod service;
 mod simulator;
 mod stats;
-pub mod testing;
 mod vcpu_map;
 
 pub use analytic::{fig2_sweep, snoop_reduction, try_snoop_reduction, Fig2Point};

@@ -29,7 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sim_mem::{
     mask_cores, BlockAddr, Cache, CacheGeometry, CacheLine, DataSource, LineTag, ReadMode,
-    ReferenceProtocol, TokenLedger, TokenProtocol, TokenState, PAGE_BYTES,
+    TokenLedger, TokenProtocol, TokenState, PAGE_BYTES,
 };
 use sim_net::{LinkFaults, Mesh, MessageKind, Network, NodeId};
 use sim_vm::{
@@ -46,12 +46,6 @@ use crate::region_filter::RegionFilter;
 use crate::stats::{RemovalEvent, SimStats};
 use crate::vcpu_map::{VcpuMap, VcpuMapFile};
 
-/// The frozen pre-optimization transaction path, kept verbatim as the
-/// differential oracle for the allocation-free fast path. A child module
-/// of `simulator` so it can reach the `Simulator` internals directly.
-#[path = "reference_path.rs"]
-mod reference_path;
-
 /// The data-oriented parallel engine (staged phases over block-address
 /// shards; see its module docs). A child module of `simulator` so the
 /// transcription twins can reach the `Simulator` internals directly.
@@ -65,60 +59,6 @@ mod engine;
 mod lane;
 
 use lane::{BlockView, FilterLane, LaneCtx};
-
-/// The coherence engine behind a [`Simulator`]: the optimized
-/// allocation-free [`TokenProtocol`], or the frozen pre-optimization
-/// [`ReferenceProtocol`] (selected via
-/// [`crate::testing::set_reference_engine`]) that the differential guard
-/// runs against.
-#[derive(Clone, Debug)]
-enum Engine {
-    Fast(TokenProtocol),
-    Reference(ReferenceProtocol),
-}
-
-impl Engine {
-    fn is_reference(&self) -> bool {
-        matches!(self, Engine::Reference(_))
-    }
-
-    /// The memory-side token ledger view shared by both engines (what the
-    /// invariant checker and the architectural-state digest consume).
-    fn ledger(&self) -> &dyn TokenLedger {
-        match self {
-            Engine::Fast(p) => p,
-            Engine::Reference(p) => p,
-        }
-    }
-
-    fn fast_mut(&mut self) -> &mut TokenProtocol {
-        match self {
-            Engine::Fast(p) => p,
-            Engine::Reference(_) => unreachable!("fast path entered on reference engine"),
-        }
-    }
-
-    fn reference_mut(&mut self) -> &mut ReferenceProtocol {
-        match self {
-            Engine::Reference(p) => p,
-            Engine::Fast(_) => unreachable!("reference path entered on fast engine"),
-        }
-    }
-
-    fn writeback(&mut self, line: &CacheLine) -> bool {
-        match self {
-            Engine::Fast(p) => p.writeback(line),
-            Engine::Reference(p) => p.writeback(line),
-        }
-    }
-
-    fn check_invariant(&self, caches: &[Cache], block: BlockAddr) -> bool {
-        match self {
-            Engine::Fast(p) => p.check_invariant(caches, block),
-            Engine::Reference(p) => p.check_invariant(caches, block),
-        }
-    }
-}
 
 /// A workload the simulator can drive end to end: an access stream plus
 /// the hypervisor-owned page metadata the filter consults.
@@ -220,7 +160,7 @@ pub struct Simulator {
     content_policy: ContentPolicy,
     l1: Vec<Cache>,
     l2: Vec<Cache>,
-    protocol: Engine,
+    protocol: TokenProtocol,
     hv: Hypervisor,
     friends: Vec<Option<VmId>>,
     /// RegionScout baseline state (present only under that policy).
@@ -344,11 +284,7 @@ impl Simulator {
             region_filter,
             l1: vec![Cache::new(CacheGeometry::new(cfg.l1_bytes, cfg.l1_ways), cfg.n_vms); n],
             l2: vec![Cache::new(CacheGeometry::new(cfg.l2_bytes, cfg.l2_ways), cfg.n_vms); n],
-            protocol: if crate::testing::reference_engine() {
-                Engine::Reference(ReferenceProtocol::new(n as u32))
-            } else {
-                Engine::Fast(TokenProtocol::new(n as u32))
-            },
+            protocol: TokenProtocol::new(n as u32),
             hv,
             friends: vec![None; cfg.n_vms],
             lane: FilterLane::new(policy, maps, &cfg, net),
@@ -444,7 +380,7 @@ impl Simulator {
             &CheckerCtx {
                 l1: &self.l1,
                 l2: &self.l2,
-                protocol: self.protocol.ledger(),
+                protocol: &self.protocol,
                 maps: &self.lane.maps,
                 hv: &self.hv,
                 maps_trusted: trusted,
@@ -531,7 +467,7 @@ impl Simulator {
             dump(&mut out, &format!("core{core} L1"), l1);
             dump(&mut out, &format!("core{core} L2"), l2);
         }
-        for (block, tokens, owner) in self.protocol.ledger().memory_entries_sorted() {
+        for (block, tokens, owner) in &self.protocol.memory_entries_sorted() {
             let _ = writeln!(&mut out, "mem {block:?} t={tokens} o={owner}");
         }
         out
@@ -585,7 +521,7 @@ impl Simulator {
     /// installed, RegionScout is involved (its region tables are
     /// per-policy state the transactions update), content pages are not
     /// routed by broadcast (the clean-shared provider rule changes where
-    /// tokens go), or the frozen reference engine is selected.
+    /// tokens go).
     pub fn add_filter_lanes(&mut self, policies: &[FilterPolicy]) -> Result<(), SimError> {
         let scout = |p: &FilterPolicy| matches!(p, FilterPolicy::RegionScout { .. });
         let why = if policies.is_empty() {
@@ -596,8 +532,6 @@ impl Simulator {
             Some("RegionScout keeps per-policy region tables")
         } else if self.content_policy != ContentPolicy::Broadcast {
             Some("content pages are not routed by broadcast")
-        } else if self.protocol.is_reference() {
-            Some("the reference engine is selected")
         } else {
             None
         };
@@ -1013,7 +947,7 @@ impl Simulator {
                 let (ctx, lane, _) = self.lanes_mut();
                 if lane.maps.add_core(p.vm.index(), p.core) {
                     lane.stats.map_adds += 1;
-                    lane.account_map_sync(&ctx, p.vm);
+                    lane.account_map_sync(ctx.cfg, p.vm);
                 }
             } else {
                 i += 1;
@@ -1100,7 +1034,7 @@ impl Simulator {
                 self.lane.maps.set(vm_idx, VcpuMap::from_mask(repaired));
                 self.lane.stats.map_repairs += 1;
                 let (ctx, lane, _) = self.lanes_mut();
-                lane.account_map_sync(&ctx, vm);
+                lane.account_map_sync(ctx.cfg, vm);
             }
         }
     }
@@ -1117,7 +1051,7 @@ impl Simulator {
             &CheckerCtx {
                 l1: &self.l1,
                 l2: &self.l2,
-                protocol: self.protocol.ledger(),
+                protocol: &self.protocol,
                 maps: &self.lane.maps,
                 hv: &self.hv,
                 maps_trusted: true,
@@ -1200,7 +1134,7 @@ impl Simulator {
             &CheckerCtx {
                 l1: &self.l1,
                 l2: &self.l2,
-                protocol: self.protocol.ledger(),
+                protocol: &self.protocol,
                 maps: &self.lane.maps,
                 hv: &self.hv,
                 maps_trusted: trusted,
@@ -1227,9 +1161,8 @@ impl Simulator {
     /// This is the allocation-free fast path: destination sets, delivered
     /// sets, and invalidation sets are `u64` core bitmasks end to end, and
     /// fault-free request fan-out and token replies are accounted as
-    /// batched multicasts. [`reference_path::transaction`] keeps the
-    /// original `Vec`-collecting implementation verbatim; the differential
-    /// guard pins the two to bit-identical statistics and state.
+    /// batched multicasts. `tests/spec_refinement.rs` checks it against
+    /// the executable specification after every round.
     fn transaction(
         &mut self,
         core: CoreId,
@@ -1237,9 +1170,6 @@ impl Simulator {
         block: BlockAddr,
         sharing: SharingType,
     ) {
-        if self.protocol.is_reference() {
-            return reference_path::transaction(self, core, access, block, sharing);
-        }
         let c = core.index();
         let tag = LineTag::from(access.agent);
         let mode = self.read_mode(access.agent, sharing);
@@ -1263,7 +1193,7 @@ impl Simulator {
 
             let tokens_moved: u32;
             let outcome = if access.write {
-                let w = self.protocol.fast_mut().write_miss_masked(
+                let w = self.protocol.write_miss_masked(
                     self.l2.as_mut_slice(),
                     c,
                     delivered,
@@ -1281,7 +1211,7 @@ impl Simulator {
                     evicted_dirty: w.evicted_dirty,
                 }
             } else {
-                let r = self.protocol.fast_mut().read_miss_masked(
+                let r = self.protocol.read_miss_masked(
                     self.l2.as_mut_slice(),
                     c,
                     delivered,
@@ -1418,13 +1348,7 @@ impl Simulator {
         let first = extra.iter().fold(1u64 << c, |mask, lane| {
             mask | lane.destinations(&ctx, c, agent, sharing, true, block).0
         });
-        self.lane_view = Some(BlockView::probe(
-            &self.l2,
-            self.protocol.ledger(),
-            c,
-            block,
-            first,
-        ));
+        self.lane_view = Some(BlockView::probe(&self.l2, &self.protocol, c, block, first));
     }
 
     /// Has every extra lane replay the completed transaction against the
@@ -1458,7 +1382,6 @@ impl Simulator {
                 region_filter: self.region_filter.as_ref(),
                 content_policy: self.content_policy,
                 cycle: self.cycle,
-                is_reference: self.protocol.is_reference(),
             },
             &mut self.lane,
             &mut self.extra_lanes,
@@ -1488,24 +1411,9 @@ impl Simulator {
         ));
     }
 
-    /// Applies L1 back-invalidation and residence-counter events for lines
-    /// the protocol removed from remote caches.
-    fn apply_invalidations(&mut self, invalidated: &[usize], block: BlockAddr) {
-        for &j in invalidated {
-            self.apply_invalidation(j, block);
-        }
-    }
-
-    fn apply_invalidation(&mut self, j: usize, block: BlockAddr) {
-        if let Some(line) = self.l1[j].remove(block) {
-            debug_assert_eq!(line.block, block);
-        }
-        let (ctx, lane, _) = self.lanes_mut();
-        lane.check_pending_removals(&ctx, j);
-    }
-
-    /// Mask form of [`Simulator::apply_invalidations`] for the
-    /// allocation-free path (cores visited in ascending order).
+    /// Applies L1 back-invalidation and residence-counter events for the
+    /// lines the protocol removed from remote caches (cores visited in
+    /// ascending order).
     fn apply_invalidations_mask(&mut self, invalidated: u64, block: BlockAddr) {
         for j in mask_cores(invalidated) {
             if let Some(line) = self.l1[j].remove(block) {
@@ -1529,13 +1437,10 @@ impl Simulator {
 
     /// Table VI: who *could* supply a content-shared read miss.
     fn classify_holders(&mut self, block: BlockAddr, vm: Option<VmId>) {
-        if self.protocol.is_reference() {
-            return reference_path::classify_holders(self, block, vm);
-        }
         let mut holders = 0u64;
         // Tokens all at memory prove that no cache holds the block
         // (`TokenMemory::all_home`).
-        let ledger = self.protocol.ledger();
+        let ledger = &self.protocol;
         if ledger.memory_tokens(block) < ledger.total_tokens() {
             for j in 0..self.cfg.n_cores() {
                 if self.l2[j].probe(block).is_some() {
@@ -1629,9 +1534,8 @@ impl SimSnapshot {
     }
 }
 
-/// Engine-agnostic view of one protocol attempt, with the token-only
-/// repliers and the invalidated remote cores as bitmasks (the fast path
-/// never materializes the sets).
+/// One protocol attempt's outcome, read or write alike, with the
+/// token-only repliers and the invalidated remote cores as bitmasks.
 struct TxOutcome {
     success: bool,
     source: Option<DataSource>,
@@ -1642,13 +1546,6 @@ struct TxOutcome {
 }
 
 impl Simulator {
-    /// Test/diagnostic hook: whether this simulator runs on the frozen
-    /// reference engine (see [`crate::testing::set_reference_engine`]).
-    #[doc(hidden)]
-    pub fn debug_is_reference_engine(&self) -> bool {
-        self.protocol.is_reference()
-    }
-
     /// Test/diagnostic hook: the blocks currently valid in `core`'s L2.
     pub fn debug_l2_lines(&self, core: usize) -> Vec<BlockAddr> {
         self.l2[core].lines().map(|l| l.block).collect()

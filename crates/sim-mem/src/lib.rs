@@ -35,7 +35,6 @@ mod addr;
 mod cache;
 mod line;
 mod protocol;
-mod reference;
 
 pub use addr::{Addr, BlockAddr, BLOCKS_PER_PAGE, BLOCK_BYTES, PAGE_BYTES};
 pub use cache::{Cache, CacheDelta, CacheGeometry, CacheSet, CacheShard, CacheStats};
@@ -44,4 +43,3 @@ pub use protocol::{
     mask_cores, CacheBank, DataSource, ReadMode, ReadOutcome, ReadResult, TokenLedger, TokenMemory,
     TokenProtocol, WriteOutcome, WriteResult,
 };
-pub use reference::ReferenceProtocol;

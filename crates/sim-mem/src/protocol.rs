@@ -406,10 +406,10 @@ fn mask_of(dests: &[usize]) -> u64 {
     mask
 }
 
-/// Read-only observers over a token ledger, implemented by both the
-/// optimized [`TokenProtocol`] and the frozen
-/// [`crate::ReferenceProtocol`], so invariant checkers and architectural
-/// state dumps can run against either engine.
+/// Read-only observers over a token ledger, implemented by
+/// [`TokenProtocol`], so invariant checkers and architectural state dumps
+/// read the ledger through one interface (the checker's unit tests
+/// substitute a fake ledger through it).
 pub trait TokenLedger: std::fmt::Debug {
     /// Tokens per block in the whole system.
     fn total_tokens(&self) -> u32;

@@ -1,17 +1,20 @@
 //! Differential guard: the optimized mask-based protocol engine must
-//! behave bit-identically to the frozen pre-optimization reference.
+//! agree with the token core of the executable specification
+//! (`vsnoop_spec::Tokens`), which keeps every token and line in plain
+//! collections and probes every cache.
 //!
-//! A long, seeded, pseudo-random transaction storm is applied to both
-//! engines in lockstep. After *every* transaction the outcomes, both
-//! cache arrays, and the memory-side token ledgers must agree exactly —
-//! so a divergence is caught at the first transaction that exhibits it,
-//! not at the end of the run.
+//! A long, seeded, pseudo-random transaction storm, failing attempts
+//! included, is applied to both in lockstep. After *every* transaction
+//! the outcomes and the touched blocks' lines and ledger entries must
+//! agree, and every few transactions both cache arrays and the whole
+//! memory-side ledger — so a divergence is caught at the first
+//! transaction that exhibits it, not at the end of the run.
 
 use sim_mem::{
-    BlockAddr, Cache, CacheGeometry, LineTag, ReadMode, ReferenceProtocol, TokenLedger,
-    TokenProtocol,
+    BlockAddr, Cache, CacheGeometry, DataSource, LineTag, ReadMode, TokenLedger, TokenProtocol,
 };
 use sim_vm::VmId;
+use vsnoop_spec as spec;
 
 /// The xorshift* generator the workloads crate vendors; reproduced here
 /// so this test is self-contained and deterministic.
@@ -36,39 +39,68 @@ impl Rng {
     }
 }
 
-fn line_key(c: &Cache) -> Vec<(BlockAddr, u32, bool, bool, LineTag)> {
-    let mut v: Vec<_> = c
-        .lines()
-        .map(|l| (l.block, l.state.tokens, l.state.owner, l.state.dirty, l.tag))
-        .collect();
-    v.sort_unstable_by_key(|&(b, ..)| b);
-    v
+type LineKey = (u64, u32, bool, bool, spec::Tag);
+
+fn spec_tag(tag: LineTag) -> spec::Tag {
+    match tag {
+        LineTag::Vm(vm) => spec::Tag::Vm(vm.index()),
+        LineTag::Host => spec::Tag::Host,
+    }
 }
 
-fn assert_same_state(
+fn key(l: &sim_mem::CacheLine) -> LineKey {
+    let s = l.state;
+    (l.block.index(), s.tokens, s.owner, s.dirty, spec_tag(l.tag))
+}
+
+fn spec_key(l: &spec::Line) -> LineKey {
+    (l.block, l.tokens, l.owner, l.dirty, l.tag)
+}
+
+fn spec_source(s: Option<DataSource>) -> Option<spec::Source> {
+    s.map(|s| match s {
+        DataSource::Cache(c) => spec::Source::Cache(c),
+        DataSource::Memory => spec::Source::Memory,
+    })
+}
+
+/// The lines of `block` in every cache and its ledger entry agree.
+fn assert_same_block(
     step: usize,
     fast: &TokenProtocol,
-    reference: &ReferenceProtocol,
-    fast_caches: &[Cache],
-    ref_caches: &[Cache],
+    caches: &[Cache],
+    model: &spec::Tokens,
+    block: BlockAddr,
 ) {
-    assert_eq!(
-        fast.memory_entries_sorted(),
-        reference.memory_entries_sorted(),
-        "ledgers diverged at step {step}"
-    );
-    assert_eq!(
-        fast.memory_entry_count(),
-        reference.memory_entry_count(),
-        "ledger entry counts diverged at step {step}"
-    );
-    for (i, (f, r)) in fast_caches.iter().zip(ref_caches).enumerate() {
+    for (i, c) in caches.iter().enumerate() {
         assert_eq!(
-            line_key(f),
-            line_key(r),
-            "cache {i} diverged at step {step}"
+            c.probe(block).map(key),
+            model.cache(i).get(block.index()).map(spec_key),
+            "cache {i}'s line for {block:?} diverged at step {step}"
         );
-        assert_eq!(f.stats(), r.stats(), "cache {i} stats at step {step}");
+    }
+    let entry = model.memory().into_iter().find(|e| e.0 == block.index());
+    assert_eq!(
+        fast.memory_state(block),
+        entry.map_or((fast.total_tokens(), true), |(_, t, o)| (t, o)),
+        "ledger entry for {block:?} diverged at step {step}"
+    );
+}
+
+fn assert_same_state(step: usize, fast: &TokenProtocol, caches: &[Cache], model: &spec::Tokens) {
+    let ledger: Vec<_> = fast
+        .memory_entries_sorted()
+        .into_iter()
+        .map(|(b, t, o)| (b.index(), t, o))
+        .collect();
+    assert_eq!(ledger, model.memory(), "ledgers diverged at step {step}");
+    assert_eq!(fast.memory_entry_count(), ledger.len());
+    for (i, c) in caches.iter().enumerate() {
+        let mut lines: Vec<_> = c.lines().map(key).collect();
+        let mut expected: Vec<_> = model.cache(i).lines().map(spec_key).collect();
+        lines.sort_unstable_by_key(|l| l.0);
+        expected.sort_unstable_by_key(|l| l.0);
+        assert_eq!(lines, expected, "cache {i} diverged at step {step}");
     }
 }
 
@@ -77,11 +109,15 @@ fn optimized_engine_matches_reference_over_random_storm() {
     const CORES: usize = 16;
     const STEPS: usize = 40_000;
     let geo = CacheGeometry::new(16 * 1024, 4); // small: plenty of evictions
-    let mut fast_caches = vec![Cache::new(geo, 4); CORES];
-    let mut ref_caches = vec![Cache::new(geo, 4); CORES];
+    let mut caches = vec![Cache::new(geo, 4); CORES];
     let mut fast = TokenProtocol::new(CORES as u32);
-    let mut reference = ReferenceProtocol::new(CORES as u32);
+    let lines = (geo.lines() as usize, geo.ways());
+    let mut model = spec::Tokens::new(
+        CORES as u32,
+        vec![spec::Cache::new(lines.0, lines.1); CORES],
+    );
     let mut rng = Rng::new(0xD1FF_50AC);
+    let (mut failed, mut evicted) = (0, 0);
 
     for step in 0..STEPS {
         let requester = rng.below(CORES as u64) as usize;
@@ -98,55 +134,43 @@ fn optimized_engine_matches_reference_over_random_storm() {
             .filter(|&c| c != requester && subset & (1 << c) != 0)
             .collect();
 
-        let is_write = rng.below(3) == 0;
-        if is_write {
-            let w_fast = fast.write_miss(
-                &mut fast_caches,
+        let (fast_out, model_out) = if rng.below(3) == 0 {
+            let w = fast.write_miss(&mut caches, requester, &dests, block, include_memory, tag);
+            let m = model.write(
                 requester,
                 &dests,
-                block,
+                block.index(),
                 include_memory,
-                tag,
+                spec_tag(tag),
             );
-            let w_ref = reference.write_miss(
-                &mut ref_caches,
-                requester,
-                &dests,
-                block,
-                include_memory,
-                tag,
-            );
-            assert_eq!(w_fast.success, w_ref.success, "write success at {step}");
-            assert_eq!(w_fast.source, w_ref.source, "write source at {step}");
             assert_eq!(
-                w_fast.token_repliers, w_ref.token_repliers,
+                w.token_repliers, m.token_repliers,
                 "token repliers at {step}"
             );
-            assert_eq!(
-                w_fast.invalidated, w_ref.invalidated,
-                "write invalidations at {step}"
+            assert_eq!(w.bounced, m.bounced, "write bounced at {step}");
+            assert_eq!(w.snooped, dests.len());
+            let out = (
+                w.success,
+                w.source,
+                w.invalidated,
+                w.evicted,
+                w.evicted_dirty,
             );
-            assert_eq!(w_fast.snooped, w_ref.snooped, "write snooped at {step}");
-            assert_eq!(w_fast.bounced, w_ref.bounced, "write bounced at {step}");
-            assert_eq!(
-                w_fast.evicted.map(|l| l.block),
-                w_ref.evicted.map(|l| l.block),
-                "write eviction at {step}"
-            );
-            assert_eq!(w_fast.evicted_dirty, w_ref.evicted_dirty);
+            (out, m)
         } else {
             // Skip reads on blocks the requester caches (API precondition).
-            if fast_caches[requester].probe(block).is_some() {
-                assert!(ref_caches[requester].probe(block).is_some());
+            if caches[requester].probe(block).is_some() {
+                assert!(model.cache(requester).get(block.index()).is_some());
                 continue;
             }
-            let mode = if rng.below(4) == 0 {
+            let clean = rng.below(4) == 0;
+            let mode = if clean {
                 ReadMode::CleanShared
             } else {
                 ReadMode::Strict
             };
-            let r_fast = fast.read_miss(
-                &mut fast_caches,
+            let r = fast.read_miss(
+                &mut caches,
                 requester,
                 &dests,
                 block,
@@ -154,44 +178,59 @@ fn optimized_engine_matches_reference_over_random_storm() {
                 tag,
                 mode,
             );
-            let r_ref = reference.read_miss(
-                &mut ref_caches,
+            let m = model.read(
                 requester,
                 &dests,
-                block,
+                block.index(),
                 include_memory,
-                tag,
-                mode,
+                spec_tag(tag),
+                clean,
             );
-            assert_eq!(r_fast.success, r_ref.success, "read success at {step}");
-            assert_eq!(r_fast.source, r_ref.source, "read source at {step}");
-            assert_eq!(
-                r_fast.invalidated, r_ref.invalidated,
-                "read invalidations at {step}"
-            );
-            assert_eq!(r_fast.snooped, r_ref.snooped, "read snooped at {step}");
-            assert_eq!(
-                r_fast.evicted.map(|l| l.block),
-                r_ref.evicted.map(|l| l.block),
-                "read eviction at {step}"
-            );
-            assert_eq!(r_fast.evicted_dirty, r_ref.evicted_dirty);
-        }
-
-        assert!(fast.check_invariant(&fast_caches, block), "fast invariant");
-        assert!(
-            reference.check_invariant(&ref_caches, block),
-            "reference invariant"
+            assert_eq!(r.snooped, dests.len());
+            (
+                (
+                    r.success,
+                    r.source,
+                    r.invalidated,
+                    r.evicted,
+                    r.evicted_dirty,
+                ),
+                m,
+            )
+        };
+        let (success, source, invalidated, victim, victim_dirty) = fast_out;
+        assert_eq!(success, model_out.success, "success at {step}");
+        assert_eq!(spec_source(source), model_out.source, "source at {step}");
+        assert_eq!(
+            invalidated, model_out.invalidated,
+            "invalidations at {step}"
         );
-        // Outcomes are compared every transaction; the (expensive) full
-        // state dump every few transactions still localizes a divergence
-        // to within a handful of steps.
+        assert_eq!(
+            victim.as_ref().map(key),
+            model_out.evicted.as_ref().map(spec_key),
+            "eviction at {step}"
+        );
+        assert_eq!(
+            victim_dirty, model_out.evicted_dirty,
+            "eviction dirt at {step}"
+        );
+        failed += usize::from(!success);
+        evicted += usize::from(victim.is_some());
+
+        assert!(fast.check_invariant(&caches, block), "fast invariant");
+        assert_same_block(step, &fast, &caches, &model, block);
+        if let Some(v) = victim {
+            assert_same_block(step, &fast, &caches, &model, v.block);
+        }
+        // The full dumps every few transactions still localize a
+        // divergence the per-block checks miss to a handful of steps.
         if step % 13 == 0 || step + 1 == STEPS {
-            assert_same_state(step, &fast, &reference, &fast_caches, &ref_caches);
+            assert_same_state(step, &fast, &caches, &model);
         }
     }
-    // The storm must have left non-trivial state behind for the
-    // comparison to mean anything.
+    // The storm must have failed attempts, evictions and non-trivial
+    // state left behind for the comparison to mean anything.
+    assert!(failed > 0 && evicted > 0);
     assert!(!fast.memory_entries_sorted().is_empty());
 }
 
