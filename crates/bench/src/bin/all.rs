@@ -25,7 +25,9 @@
 //! merged report text), and `repro-<job>.json` per terminal failure.
 //! The campaign exits 0 even when jobs fail — degraded mode is reported
 //! in the summary and the journal; only usage or IO errors exit
-//! non-zero.
+//! non-zero. After the summary, the last stderr line is
+//! `campaign: wall <s> s, peak rss <MiB> MiB`: the campaign's wall time
+//! and the process's peak resident set.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -197,6 +199,7 @@ fn main() -> ExitCode {
         resume: cli.resume,
         ..RunnerConfig::default()
     };
+    let started = std::time::Instant::now();
     let report = match run_campaign(&jobs, &cfg, &mut |msg| eprintln!("[campaign] {msg}")) {
         Ok(r) => r,
         Err(e) => {
@@ -216,5 +219,10 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     eprint!("\n{}", report.summary());
+    eprintln!(
+        "campaign: wall {:.1} s, peak rss {:.1} MiB",
+        started.elapsed().as_secs_f64(),
+        vsnoop::obs::peak_rss_bytes() as f64 / (1024.0 * 1024.0)
+    );
     ExitCode::SUCCESS
 }

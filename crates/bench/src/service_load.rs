@@ -564,23 +564,10 @@ pub fn run_load(opts: &LoadOptions, progress: &mut dyn FnMut(&str)) -> Result<Lo
     })
 }
 
-/// Peak resident set size (`VmHWM`) in bytes, 0 where unavailable.
+/// Peak resident set size (`VmHWM`) in bytes, 0 where unavailable
+/// ([`vsnoop::obs::peak_rss_bytes`]).
 pub fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
+    vsnoop::obs::peak_rss_bytes()
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! `all` is the one figure entry point: `--list` names the artifact
-//! registry, and `--only <name>` prints exactly that artifact's report.
+//! registry, and `--only <name>` prints exactly that artifact's report,
+//! with the pass's wall time and peak RSS on stderr only.
 
 use std::process::{Command, Output};
 
@@ -39,4 +40,13 @@ fn only_prints_the_artifact_report() {
     let out = all(&["--only", "table2", "--dir", dir.to_str().unwrap()]);
     let expected = reports::table2(RunScale::quick()).unwrap();
     assert_eq!(String::from_utf8(out.stdout).unwrap(), expected);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let last = stderr.lines().last().unwrap_or_default();
+    let (wall, rss): (f64, f64) = last
+        .strip_prefix("campaign: wall ")
+        .and_then(|rest| rest.strip_suffix(" MiB"))
+        .and_then(|rest| rest.split_once(" s, peak rss "))
+        .map(|(wall, rss)| (wall.parse().unwrap(), rss.parse().unwrap()))
+        .unwrap_or_else(|| panic!("no wall/peak-RSS line ends stderr: {last:?}"));
+    assert!(wall >= 0.0 && rss > 0.0, "{last}");
 }

@@ -65,11 +65,6 @@ impl Default for RunScale {
 /// Builds the paper's simulated machine (Table II) running `app` on every
 /// VM, executes warm-up plus measurement, and returns the simulator for
 /// inspection.
-///
-/// The warm-up goes through the process-wide warm pool
-/// ([`crate::experiments::warm`]): the warmed state is forked from a
-/// cached snapshot instead of re-simulated, with results bit-identical
-/// to a cold run (pinned by `tests/fork_identity.rs`).
 pub fn run_pinned(
     app: &'static AppProfile,
     policy: FilterPolicy,

@@ -80,9 +80,8 @@ pub fn cross_vm_picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (Vcpu
 
 /// Runs one app with periodic cross-VM shuffles under `policies` — one
 /// filter lane each, the first one primary — and returns the simulator
-/// for inspection. The warm-up (pinned, no migrations yet) comes from
-/// the process-wide warm pool, exactly like
-/// [`crate::experiments::run_pinned`].
+/// for inspection. The warm-up runs pinned, before any migration, under
+/// `policies[0]`, exactly like [`crate::experiments::run_pinned`].
 pub(crate) fn run_migrating(
     app: &'static AppProfile,
     policies: &[FilterPolicy],

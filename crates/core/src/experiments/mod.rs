@@ -15,8 +15,8 @@
 //! Every driver takes a [`RunScale`] so tests can run fast while the
 //! benchmark binaries use the full scale.
 //!
-//! The drivers share warm-up work through the process-wide warm-state
-//! pool, cell memo and scheduler memo in [`warm`], and the heavy sweeps
+//! The drivers share finished cells and scheduler runs through the
+//! process-wide cell memo and scheduler memo in [`warm`], and the heavy sweeps
 //! and the scheduler study fan their independent cells and runs over
 //! [`crate::runner::scatter`]'s shard pool. Both are output-invariant:
 //! report text stays byte-identical to a cold serial run at any worker
@@ -43,5 +43,5 @@ pub use pinned::{table4_fig6, PinnedRow};
 pub use sched::{fig3_table1, SchedRow, FIG3_TABLE1_SEED};
 pub use warm::{
     cell_simulations, clear_warm_pool, reset_warm_counters, scheduler_runs, warm_counters,
-    warm_pool_len, warm_tenant_counters, DEFAULT_WARM_CAP,
+    warm_pool_len, warm_tenant_counters,
 };

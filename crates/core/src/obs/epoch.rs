@@ -6,7 +6,7 @@
 //! [`Epoch`]: the delta of every `SimStats` counter since the previous
 //! cut ([`SimStats::delta_since`]), the snoop fan-out histogram, the
 //! per-kind and per-node network traffic, vCPU swap activity, and the
-//! process-wide warm-pool counters.
+//! process-wide cell-memo (`warm_*`) counters.
 //!
 //! Two export formats:
 //!
@@ -53,11 +53,11 @@ pub struct Epoch {
     pub node_bytes: Vec<u64>,
     /// Successful vCPU swaps (migrations) during the epoch.
     pub vcpu_swaps: u64,
-    /// Process-wide warm-pool hits during the epoch.
+    /// Process-wide cell-memo hits during the epoch.
     pub warm_hits: u64,
-    /// Process-wide warm-pool misses during the epoch.
+    /// Process-wide cell-memo misses during the epoch.
     pub warm_misses: u64,
-    /// Process-wide warm-pool evictions during the epoch.
+    /// Always 0: the cell memo never evicts. Kept for the record format.
     pub warm_evictions: u64,
 }
 
@@ -430,7 +430,7 @@ impl EpochRecorder {
     }
 }
 
-/// Current process-wide warm-pool `(hits, misses, evictions)`.
+/// Current process-wide cell-memo `(hits, misses, evictions)`.
 fn warm_counters() -> [u64; 3] {
     let (h, m, e) = crate::experiments::warm_counters();
     [h, m, e]

@@ -477,7 +477,7 @@ fn us_histograms() -> [(&'static str, &'static Histogram); 11] {
 /// Global counters/gauges plus the answering server's
 /// `service_worker_spawns` (its pool's thread starts), every stage
 /// histogram (p50/p90/p99/max in ms), per-tenant request-latency and
-/// queue-wait families, the warm pool, and the process uptime
+/// queue-wait families, the cell-memo counters, and the process uptime
 /// ([`super::mono_ms`]).
 pub fn snapshot_value(worker_spawns: u64) -> Value {
     let (warm_hits, warm_misses, warm_evictions) = crate::experiments::warm_counters();

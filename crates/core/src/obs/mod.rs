@@ -75,7 +75,7 @@ thread_local! {
     /// Per-thread tenant label (unset outside the service). The
     /// service installs it for the duration of a request; `scatter`
     /// re-installs it on shard workers, so cross-tenant resource
-    /// accounting (e.g. the warm pool's per-tenant hit/miss counters)
+    /// accounting (e.g. the cell memo's per-tenant hit/miss counters)
     /// attributes work done on helper threads to the right tenant.
     static TENANT: RefCell<Option<String>> = const { RefCell::new(None) };
 }
@@ -201,11 +201,22 @@ pub fn rounds_counted() -> u64 {
 /// Current resident-set size in bytes (`VmRSS` from
 /// `/proc/self/status`), or 0 where unavailable.
 pub fn current_rss_bytes() -> u64 {
+    proc_status_bytes("VmRSS:")
+}
+
+/// Peak resident-set size of the process so far in bytes (`VmHWM` from
+/// `/proc/self/status`), or 0 where unavailable.
+pub fn peak_rss_bytes() -> u64 {
+    proc_status_bytes("VmHWM:")
+}
+
+/// The `kB` figure of one `/proc/self/status` field, in bytes.
+fn proc_status_bytes(field: &str) -> u64 {
     #[cfg(target_os = "linux")]
     {
         if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
             for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmRSS:") {
+                if let Some(rest) = line.strip_prefix(field) {
                     let kb: u64 = rest
                         .trim()
                         .trim_end_matches("kB")
@@ -217,6 +228,8 @@ pub fn current_rss_bytes() -> u64 {
             }
         }
     }
+    #[cfg(not(target_os = "linux"))]
+    let _ = field;
     0
 }
 
@@ -272,5 +285,15 @@ mod tests {
     fn rss_probe_does_not_panic() {
         // On Linux this is > 0; elsewhere it degrades to 0.
         let _ = current_rss_bytes();
+    }
+
+    #[test]
+    fn peak_rss_is_at_least_current_rss() {
+        let now = current_rss_bytes();
+        let peak = peak_rss_bytes();
+        if cfg!(target_os = "linux") {
+            assert!(now > 0, "VmRSS must parse on Linux");
+        }
+        assert!(peak >= now, "VmHWM {peak} below VmRSS {now}");
     }
 }

@@ -4,7 +4,7 @@
 //! `telemetry.jsonl` in the trace directory — job lifecycle events
 //! from the supervisor (`job_start`, `job_ok`, `job_retry`,
 //! `job_failed`, `job_abandoned`), periodic `heartbeat` records
-//! (rounds/s, RSS, warm-pool counters), shard-panic events from
+//! (rounds/s, RSS, cell-memo counters), shard-panic events from
 //! [`scatter`](crate::runner::scatter), and flight-dump notices. Each
 //! line carries a monotonically increasing `seq`, a wall-clock
 //! `ts_ms`, a monotonic `mono_ms` (milliseconds since process start,

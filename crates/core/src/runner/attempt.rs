@@ -10,7 +10,7 @@
 //!   tenant label that per-tenant accounting reads. The supervisors build
 //!   one per attempt; `scatter` [captures](Context::capture) the caller's
 //!   and re-enters it on every shard thread, so a deadline, a dump or a
-//!   tenant's warm-pool count follows the work across the fan-out.
+//!   tenant's cell-memo count follows the work across the fan-out.
 //! - **Isolation.** Job code runs under `catch_unwind`. On an unwind the
 //!   thread's flight ring is dumped (when obs is on) before the payload
 //!   leaves the thread, and a process-wide panic hook, installed on first

@@ -81,7 +81,7 @@ pub enum Request {
 /// The `submit` request body.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Submit {
-    /// Tenant the work is accounted to (quotas, fairness, warm-pool
+    /// Tenant the work is accounted to (quotas, fairness, cell-memo
     /// counters). Required and non-empty.
     pub tenant: String,
     /// Registry name of the job to run (e.g. a campaign artifact like

@@ -499,7 +499,7 @@ pub(super) fn scheduler_loop(
 }
 
 /// Service heartbeat: queue/running/shed depth plus the process-wide
-/// RSS and warm-pool counters, emitted on the shared obs cadence and
+/// RSS and cell-memo (`warm_*`) counters, emitted on the shared obs cadence and
 /// visible to subscribers even without a trace dir. The tick gates
 /// itself so an idle, untraced server does no per-interval work.
 fn spawn_heartbeat(shared: &Arc<Shared>) -> crate::obs::Heartbeat {

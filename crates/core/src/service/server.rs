@@ -515,7 +515,7 @@ impl Shared {
         self.wake.waker.wake();
     }
 
-    /// Builds a `status` response from admission + warm-pool counters.
+    /// Builds a `status` response from admission + cell-memo counters.
     fn status_line(&self) -> String {
         let warm: HashMap<String, (u64, u64)> = crate::warm_tenant_counters()
             .into_iter()

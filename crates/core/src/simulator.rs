@@ -91,7 +91,10 @@ impl<W: SystemWorkload> SystemWorkload for workloads::TraceRecorder<W> {
 
 /// A recorded trace paired with the page metadata it was captured against,
 /// ready to drive the simulator (e.g. for bit-identical cross-policy
-/// comparisons).
+/// comparisons). The source workload is borrowed immutably, so its
+/// friend VMs cannot change: they are resolved once, at construction,
+/// and a caller that runs one round per `run` call does not pay for
+/// them every round.
 ///
 /// # Examples
 ///
@@ -121,12 +124,20 @@ impl<W: SystemWorkload> SystemWorkload for workloads::TraceRecorder<W> {
 pub struct ReplayWorkload<'a> {
     replayer: workloads::TraceReplayer<'a>,
     source: &'a Workload,
+    friends: Vec<Option<VmId>>,
 }
 
 impl<'a> ReplayWorkload<'a> {
     /// Pairs a replayer with the workload whose pages it addresses.
     pub fn new(replayer: workloads::TraceReplayer<'a>, source: &'a Workload) -> Self {
-        ReplayWorkload { replayer, source }
+        let friends = (0..source.n_vms())
+            .map(|vm| source.content().friend_of(VmId::new(vm as u16)))
+            .collect();
+        ReplayWorkload {
+            replayer,
+            source,
+            friends,
+        }
     }
 }
 
@@ -141,7 +152,7 @@ impl SystemWorkload for ReplayWorkload<'_> {
         Workload::directory(self.source)
     }
     fn friend_of(&self, vm: VmId) -> Option<VmId> {
-        self.source.content().friend_of(vm)
+        self.friends.get(vm.index()).copied().flatten()
     }
 }
 
@@ -1478,11 +1489,10 @@ impl Simulator {
 ///
 /// Forking re-clones both halves, so one snapshot can seed any number
 /// of runs; each fork continues the bit-identical access stream from
-/// the captured point. [`SimSnapshot::fork_with_policy`] additionally
-/// retargets the filter policy, which is sound for warm state the
-/// policies agree on (see the broadcast-vs-filtered architectural-state
-/// oracle in `tests/differential_oracle.rs`) — the one exception,
-/// RegionScout's per-core region-filter state, is rejected.
+/// the captured point (`crates/core/tests/fork_identity.rs`). The
+/// experiment drivers do not use it: they warm every cell afresh. It
+/// stays for the benchmark's `warm.snapshot_ms` and `warm.fork_ms`
+/// probes, which time a machine clone.
 #[derive(Clone, Debug)]
 pub struct SimSnapshot {
     sim: Simulator,
@@ -1490,47 +1500,9 @@ pub struct SimSnapshot {
 }
 
 impl SimSnapshot {
-    /// Resumes from the captured state under the policy it was warmed
-    /// with.
+    /// Resumes from the captured state.
     pub fn fork(&self) -> (Simulator, Workload) {
         (self.sim.clone(), self.workload.clone())
-    }
-
-    /// Resumes from the captured state under a different filter /
-    /// content-routing policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the retarget crosses the
-    /// RegionScout boundary in either direction: the region filter's
-    /// per-core not-shared-region tables are warmed by the policy itself,
-    /// so a snapshot warmed without them (or with them) cannot stand in
-    /// for a fresh warm-up under the other family.
-    pub fn fork_with_policy(
-        &self,
-        policy: FilterPolicy,
-        content_policy: ContentPolicy,
-    ) -> Result<(Simulator, Workload), SimError> {
-        let warmed = self.sim.lane.policy;
-        let scout = |p: FilterPolicy| matches!(p, FilterPolicy::RegionScout { .. });
-        if (scout(warmed) || scout(policy)) && policy != warmed {
-            return Err(SimError::InvalidConfig(crate::config::ConfigError::new(
-                format!(
-                    "cannot retarget a warm snapshot across the RegionScout boundary \
-                     (warmed under {warmed}, requested {policy}): region-filter state \
-                     is policy-specific"
-                ),
-            )));
-        }
-        let mut sim = self.sim.clone();
-        sim.lane.policy = policy;
-        sim.content_policy = content_policy;
-        Ok((sim, self.workload.clone()))
-    }
-
-    /// The filter policy the snapshot was warmed under.
-    pub fn warmed_policy(&self) -> FilterPolicy {
-        self.sim.lane.policy
     }
 }
 

@@ -154,7 +154,8 @@ pub struct CacheSet {
     clock: u32,
 }
 
-// The warm pool clones every set header: any growth must be deliberate.
+// Every simulator holds one header per set (512 per paper L2): any
+// growth must be deliberate.
 const _: () = assert!(std::mem::size_of::<CacheSet>() == 40);
 
 /// Ways covered by [`CacheSet`]'s fingerprint word, one byte each. Ways

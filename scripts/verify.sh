@@ -77,11 +77,15 @@ cmp "$SHARD_DIR/merged.jsonl" "$CLEAN_DIR/merged.jsonl"
 
 echo "==> figure output (full scale, byte-identical to bench_results_full.txt)"
 # The fixed point of every simulator change: the fault-free full-scale
-# campaign's stdout is the committed file, byte for byte (~80 s at
-# --jobs 2 on a 2-CPU host).
+# campaign's stdout is the committed file, byte for byte (~60 s at
+# --jobs 2 on a 2-CPU host). The last stderr line of `all` carries the
+# pass's wall time and peak RSS; it is logged, not gated.
 FULL_DIR=target/campaign/verify-full
 rm -rf "$FULL_DIR"
-./target/release/all --jobs 2 --dir "$FULL_DIR" | cmp - bench_results_full.txt
+mkdir -p "$FULL_DIR"
+./target/release/all --jobs 2 --dir "$FULL_DIR" 2> "$FULL_DIR/stderr.txt" \
+  | cmp - bench_results_full.txt || { cat "$FULL_DIR/stderr.txt" >&2; exit 1; }
+tail -n 1 "$FULL_DIR/stderr.txt"
 
 echo "==> batched-engine smoke (VSNOOP_ENGINE_WORKERS=4 vs serial byte-identity)"
 # Orthogonal to --workers (which shards *across* cells), the batched

@@ -1,13 +1,13 @@
 //! Operation counts of the report drivers, read from the process-wide
-//! warm-pool and cell-simulation counters (hence a test binary of its
+//! cell-simulation and scheduler-run counters (hence a test binary of its
 //! own, and one lock around every case: nothing else may touch those
 //! counters while a case runs). Counts, unlike timings, hold on any
 //! host.
 //!
 //! The three migration policies ride one simulation per (application,
 //! period) cell as filter lanes, so a sweep over `k` applications and
-//! two periods simulates `2k` measured phases from `2k` warm forks —
-//! where one simulation per policy would cost `6k` — and Fig. 9, whose
+//! two periods simulates `2k` measured phases — where one simulation
+//! per policy would cost `6k` — and Fig. 9, whose
 //! counter cells are lanes of the 5 ms cells, simulates nothing new.
 //! The cell memo makes reports built from identical cells free: Fig. 6
 //! after Table IV, Table VI after Table V, and Fig. 10's broadcast bars.
@@ -18,14 +18,14 @@ use std::sync::Mutex;
 use vsnoop::experiments::{
     cell_simulations, clear_warm_pool, fig10, fig3_table1, migration_policies, migration_sweep_for,
     removal_periods_for, reset_warm_counters, scheduler_runs, table4_fig6, table5, table6,
-    warm_counters, RunScale, FIG3_TABLE1_SEED,
+    RunScale, FIG3_TABLE1_SEED,
 };
 use vsnoop::ContentPolicy;
 use workloads::{content_apps, profile, simulation_apps};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
-/// Runs `case` alone against a cold pool and memo with zeroed counters.
+/// Runs `case` alone against cold memos with zeroed counters.
 fn isolated(case: impl FnOnce()) {
     let _g = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     clear_warm_pool();
@@ -50,25 +50,17 @@ fn migration_sweep_simulates_each_app_period_cell_once() {
             points.len() as u64,
             2 * k * migration_policies().len() as u64
         );
-        let (hits, misses, _) = warm_counters();
         assert_eq!(
             cell_simulations(),
             2 * k,
             "one simulation per (app, period)"
         );
-        assert_eq!(hits + misses, 2 * k, "one warm fork per (app, period)");
-        assert_eq!(misses, k, "one warm-up per app, shared by both periods");
 
         let _ = removal_periods_for(&apps, SCALE);
         assert_eq!(
             cell_simulations(),
             2 * k,
             "Fig. 9 reads Fig. 7's counter lanes"
-        );
-        assert_eq!(
-            warm_counters().0 + warm_counters().1,
-            2 * k,
-            "and forks nothing"
         );
     });
 }

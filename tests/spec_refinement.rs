@@ -20,14 +20,11 @@
 //! `tests/simulator_frozen.rs` pins those.
 
 use sim_mem::{BlockAddr, LineTag, BLOCK_BYTES, PAGE_BYTES};
-use sim_vm::{Agent, SharingDirectory, SharingType, VcpuId, VmId};
+use sim_vm::{Agent, SharingType, VcpuId, VmId};
 use vsnoop::experiments::cross_vm_picker;
-use vsnoop::{ContentPolicy, FilterPolicy, Simulator, SystemConfig, SystemWorkload};
+use vsnoop::{ContentPolicy, FilterPolicy, ReplayWorkload, Simulator, SystemConfig};
 use vsnoop_spec as spec;
-use workloads::{
-    profile, AccessStream, AppProfile, TraceAccess, TraceRecorder, TraceReplayer, Workload,
-    WorkloadConfig,
-};
+use workloads::{profile, AccessStream, AppProfile, TraceRecorder, Workload, WorkloadConfig};
 
 /// Rounds per cell: enough for L2 sets to fill and evict.
 const ROUNDS: u64 = 120;
@@ -114,30 +111,6 @@ fn mask(cores: impl IntoIterator<Item = usize>) -> u64 {
     cores.into_iter().fold(0, |m, c| m | 1 << c)
 }
 
-/// A recorded trace with its page directory and friend VMs, resolved
-/// once: the simulator asks for friends on every `run` call, and a cell
-/// runs one round per call.
-struct Replay<'a> {
-    accesses: TraceReplayer<'a>,
-    directory: &'a SharingDirectory,
-    friends: Vec<Option<VmId>>,
-}
-
-impl AccessStream for Replay<'_> {
-    fn next_access(&mut self, vcpu: VcpuId) -> TraceAccess {
-        self.accesses.next_access(vcpu)
-    }
-}
-
-impl SystemWorkload for Replay<'_> {
-    fn directory(&self) -> &SharingDirectory {
-        self.directory
-    }
-    fn friend_of(&self, vm: VmId) -> Option<VmId> {
-        self.friends[vm.index()]
-    }
-}
-
 /// canneal without its temporal locality, with more VM-shared, content
 /// and host accesses: the small machine's L2s fill and evict within a
 /// cell, and every destination rule runs often.
@@ -194,16 +167,9 @@ fn refine(
     }
     let (trace, wl) = rec.finish();
     let dir = wl.directory();
-    let friends: Vec<_> = (0..cfg.n_vms)
-        .map(|vm| wl.content().friend_of(VmId::new(vm as u16)))
-        .collect();
 
     let mut sim = Simulator::new(cfg, policy, content);
-    let mut replay = Replay {
-        accesses: trace.replay(),
-        directory: dir,
-        friends: friends.clone(),
-    };
+    let mut replay = ReplayWorkload::new(trace.replay(), &wl);
     let shape = spec::Shape {
         cores: cfg.n_cores(),
         vms: cfg.n_vms,
@@ -211,7 +177,13 @@ fn refine(
         l1: ((cfg.l1_bytes / BLOCK_BYTES) as usize, cfg.l1_ways),
         l2: ((cfg.l2_bytes / BLOCK_BYTES) as usize, cfg.l2_ways),
     };
-    let friends = friends.iter().map(|f| f.map(VmId::index)).collect();
+    let friends = (0..cfg.n_vms)
+        .map(|vm| {
+            wl.content()
+                .friend_of(VmId::new(vm as u16))
+                .map(VmId::index)
+        })
+        .collect();
     let mut model = spec::Machine::new(shape, spec_policy(policy), spec_content(content), friends);
     let mut stream = trace.replay();
     let mut pick = cross_vm_picker(cfg, seed);
