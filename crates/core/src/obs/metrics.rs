@@ -311,12 +311,14 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 // The metric registry: every stage's statics, by layer.
 // ---------------------------------------------------------------------
 
-/// Admission wait: request parsed on the reactor → admission thread
-/// picks it up (µs).
+/// Admission wait: request parsed on the reactor → the service core
+/// handles it (µs).
 pub static SERVICE_ADMISSION_WAIT_US: Histogram = Histogram::new();
-/// WAL group-commit append+fsync latency per accepted submit (µs).
+/// The WAL write+fsync of the core turn that made a submit's
+/// acceptance durable, once per accepted submit (µs).
 pub static SERVICE_WAL_FSYNC_US: Histogram = Histogram::new();
-/// Queue wait: admission accepted → scheduler dispatched (µs).
+/// Queue wait: the turn published the `accepted` → the core dispatched
+/// the job (µs).
 pub static SERVICE_QUEUE_WAIT_US: Histogram = Histogram::new();
 /// Job run time: dispatch → terminal outcome (µs).
 pub static SERVICE_RUN_US: Histogram = Histogram::new();

@@ -24,10 +24,12 @@
 //!   behind [`reactor::Poller`], plus the cross-thread
 //!   [`reactor::Waker`];
 //! - [`server`] — the TCP server: the reactor loop driving nonblocking
-//!   connection I/O and the admission thread ([`serve`], [`Server`],
-//!   [`ServiceConfig`]);
-//! - `sched` — the event-driven scheduler: dispatch on admission,
-//!   per-job deadline/cancel-grace/progress timers, the drain;
+//!   connection I/O ([`serve`], [`Server`], [`ServiceConfig`]);
+//! - `sched` — the service core, one event-driven thread that owns
+//!   admission, the idempotency map, the waiters and dispatch, with
+//!   per-job deadline/cancel-grace/progress timers and the drain; each
+//!   turn it makes the turn's WAL records durable with one sync before
+//!   publishing the turn's replies;
 //! - [`signal`] — the SIGTERM/SIGINT → drain flag bridge (and reactor
 //!   wake-fd poke);
 //! - [`wal`] — the crash-safe write-ahead submission log behind the

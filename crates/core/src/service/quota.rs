@@ -2,10 +2,9 @@
 //! round-robin dispatch.
 //!
 //! [`Admission`] is deliberately free of any networking or threading —
-//! it is a plain data structure the server's scheduler drives under
-//! one lock, which makes the robustness headline properties (typed
-//! load-shedding, fairness, quota isolation) unit-testable without a
-//! socket in sight.
+//! it is a plain data structure owned by the server's one core thread,
+//! which makes the robustness headline properties (typed load-shedding,
+//! fairness, quota isolation) unit-testable without a socket in sight.
 //!
 //! The shape mirrors the paper's theme at the resource-management
 //! level: just as virtual snooping partitions coherence traffic by VM
@@ -52,10 +51,6 @@ struct Queued<T> {
 #[derive(Debug)]
 struct TenantState<T> {
     queue: Vec<Queued<T>>,
-    /// Slots taken by [`Admission::reserve`] and not yet filled by
-    /// [`Admission::publish`]. They count against every queue cap but
-    /// hold no job, so neither dispatch nor eviction can see them.
-    reserved: usize,
     queued_bytes: usize,
     inflight: usize,
     done: u64,
@@ -67,7 +62,6 @@ impl<T> Default for TenantState<T> {
     fn default() -> Self {
         TenantState {
             queue: Vec::new(),
-            reserved: 0,
             queued_bytes: 0,
             inflight: 0,
             done: 0,
@@ -79,7 +73,7 @@ impl<T> Default for TenantState<T> {
 /// The admission controller: a global bounded queue partitioned per
 /// tenant, with round-robin dispatch across tenants.
 ///
-/// Not thread-safe by itself — the server wraps it in a `Mutex`.
+/// Not thread-safe by itself — the server's core thread owns it.
 #[derive(Debug)]
 pub struct Admission<T> {
     quota: TenantQuota,
@@ -118,7 +112,7 @@ impl<T> Admission<T> {
         self.draining
     }
 
-    /// Total queued jobs across all tenants, reservations included.
+    /// Total queued jobs across all tenants.
     pub fn queued_total(&self) -> usize {
         self.queued_total
     }
@@ -128,10 +122,10 @@ impl<T> Admission<T> {
         self.tenants.values().map(|t| t.inflight).sum()
     }
 
-    /// The shed checks and capacity accounting shared by
-    /// [`reserve`](Self::reserve) and [`offer`](Self::offer): on `Ok`
-    /// one queue slot and `bytes` are charged to `tenant`.
-    fn admit(&mut self, tenant: &str, bytes: usize) -> Result<&mut TenantState<T>, ShedReason> {
+    /// Offers a job for `tenant`, accounting `bytes` of request
+    /// payload against the tenant's byte quota. Rejections are typed
+    /// and cheap; acceptance enqueues at the tenant's tail.
+    pub fn offer(&mut self, tenant: &str, job: T, bytes: usize) -> Result<(), ShedReason> {
         // Every shed path creates the tenant entry: a tenant that only
         // ever gets shed still shows up (with its shed count) in
         // status output.
@@ -144,7 +138,7 @@ impl<T> Admission<T> {
             state.shed += 1;
             return Err(ShedReason::QueueFull);
         }
-        if state.queue.len() + state.reserved >= self.quota.max_queued {
+        if state.queue.len() >= self.quota.max_queued {
             state.shed += 1;
             return Err(ShedReason::TenantQueueFull);
         }
@@ -153,37 +147,9 @@ impl<T> Admission<T> {
             return Err(ShedReason::TenantBytes);
         }
         state.queued_bytes += bytes;
-        self.queued_total += 1;
-        Ok(state)
-    }
-
-    /// Offers a job for `tenant`, accounting `bytes` of request
-    /// payload against the tenant's byte quota. Rejections are typed
-    /// and cheap; acceptance enqueues at the tenant's tail.
-    pub fn offer(&mut self, tenant: &str, job: T, bytes: usize) -> Result<(), ShedReason> {
-        self.admit(tenant, bytes)?.queue.push(Queued { job, bytes });
-        Ok(())
-    }
-
-    /// [`offer`](Self::offer) in two steps: takes the queue slot now
-    /// and leaves the job out of the queue until
-    /// [`publish`](Self::publish). The server makes the acceptance
-    /// durable and acknowledges it in between, so the scheduler can
-    /// never finish a job whose client has not been told about it. The
-    /// caller owes exactly one `publish` for every `Ok`.
-    pub fn reserve(&mut self, tenant: &str, bytes: usize) -> Result<(), ShedReason> {
-        self.admit(tenant, bytes)?.reserved += 1;
-        Ok(())
-    }
-
-    /// Fills a slot taken by [`reserve`](Self::reserve) (same `tenant`
-    /// and `bytes`): the job joins the tenant's tail and becomes
-    /// visible to dispatch and eviction. Allowed while draining — the
-    /// reservation predates the drain, and the scheduler waits for it.
-    pub fn publish(&mut self, tenant: &str, job: T, bytes: usize) {
-        let state = self.tenants.entry(tenant.to_string()).or_default();
-        state.reserved = state.reserved.saturating_sub(1);
         state.queue.push(Queued { job, bytes });
+        self.queued_total += 1;
+        Ok(())
     }
 
     /// Re-enqueues a job recovered from the write-ahead log under its
@@ -272,9 +238,7 @@ impl<T> Admission<T> {
 
     /// Empties every tenant's queue, returning the evicted jobs in
     /// (tenant-name, job) pairs. Used by the drain: queued work is
-    /// journaled as cancelled rather than silently dropped. Unfilled
-    /// reservations stay counted, so the drain can tell it must wait
-    /// for their `publish`.
+    /// journaled as cancelled rather than silently dropped.
     pub fn evict_queued(&mut self) -> Vec<(String, T)> {
         let mut out = Vec::new();
         for (name, state) in &mut self.tenants {
@@ -295,7 +259,7 @@ impl<T> Admission<T> {
             .map(|(name, s)| {
                 (
                     name.clone(),
-                    (s.queue.len() + s.reserved) as u64,
+                    s.queue.len() as u64,
                     s.inflight as u64,
                     s.done,
                     s.shed,
@@ -326,10 +290,11 @@ impl<T> Admission<T> {
 ///
 /// Thread model: `try_acquire` is only called from the reactor thread
 /// (requests on one connection are processed in order), while `release`
-/// races in from the scheduler as jobs finish — so a relaxed
-/// check-then-increment cannot overshoot the limit. [`acquire`]
-/// (unconditional) exists for idempotent-duplicate waiters: answering
-/// an already-made promise must never shed.
+/// races in from the service core as jobs finish — so a relaxed
+/// check-then-increment cannot overshoot the limit on its own.
+/// [`acquire`] (unconditional, from the core) exists for
+/// idempotent-duplicate waiters: answering an already-made promise must
+/// never shed, so it may overshoot.
 ///
 /// [`acquire`]: PipelineGate::acquire
 #[derive(Debug)]
@@ -460,26 +425,6 @@ mod tests {
         assert_eq!(evicted, vec![("a".into(), 1), ("b".into(), 2)]);
         assert_eq!(a.queued_total(), 0);
         assert_eq!(a.next_dispatch(), None);
-    }
-
-    #[test]
-    fn reserved_slots_count_against_caps_but_hide_from_dispatch_and_eviction() {
-        let mut a = Admission::new(100, quota(8, 2, 1 << 20));
-        a.reserve("t", 10).unwrap();
-        assert_eq!(a.queued_total(), 1);
-        assert_eq!(a.next_dispatch(), None, "nothing published yet");
-        a.offer("t", 1, 10).unwrap();
-        assert_eq!(a.offer("t", 2, 10), Err(ShedReason::TenantQueueFull));
-        // A drain evicts what is queued and keeps waiting for the slot.
-        a.set_draining();
-        assert_eq!(a.evict_queued(), vec![("t".into(), 1)]);
-        assert_eq!(a.queued_total(), 1);
-        assert_eq!(a.tenant_counters()[0].1, 1, "status counts the slot");
-        // The reservation predates the drain: its publish still lands,
-        // after every job queued before it.
-        a.publish("t", 0, 10);
-        assert_eq!(a.evict_queued(), vec![("t".into(), 0)]);
-        assert_eq!(a.queued_total(), 0);
     }
 
     #[test]

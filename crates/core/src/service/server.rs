@@ -1,7 +1,7 @@
 //! The always-on simulation server: a readiness reactor driving every
-//! connection and an admission thread owning durable accepts. The
-//! scheduler that drives dispatch, deadlines, and graceful drain lives
-//! next door in [`super::sched`].
+//! connection, and one core thread — [`super::sched`] — that owns
+//! admission, idempotency, dispatch, deadlines, durability and the
+//! graceful drain.
 //!
 //! Threading model (all plain `std::thread` + `std::net`, no external
 //! runtime):
@@ -10,25 +10,23 @@
 //!   listener, a self-wake channel, and every client socket — all
 //!   nonblocking. It accepts connections, assembles JSONL frames from
 //!   bounded per-connection read buffers, answers cheap requests
-//!   (`status`/`ping`/`shutdown`/`subscribe`) inline, enforces the
-//!   per-connection pipelining cap (excess submits shed with a typed
-//!   retryable `pipeline_full`), reaps idle connections with a typed
-//!   `idle_timeout` error, and flushes every connection's outbox to
-//!   its socket. One thread serves hundreds of connections; a
-//!   connection storm costs file descriptors, not threads;
-//! - **admission** (one thread): receives submits from the reactor
-//!   over a channel and runs dedup + admission + the fsynced WAL
-//!   `accepted` append. Disk waits land here, never on the reactor,
-//!   and the single thread preserves global submit order. A job joins
-//!   the dispatch queue only after its `accepted` line is in the
-//!   outbox, and the scheduler is told so at once;
-//! - **scheduler** (one thread, [`super::sched`]): round-robin
-//!   dispatch out of [`Admission`] onto the worker pool (at most
-//!   `workers` jobs running), completion collection, the per-job
-//!   deadline watchdog, periodic `progress` frames for running jobs,
-//!   and the drain sequence. It sleeps until a message or a job's
-//!   timer wakes it. It is the only writer of the journal, so journal
-//!   entries land in completion order without interleaving;
+//!   (`ping`/`metrics`/`shutdown`/`subscribe`) inline, takes a
+//!   per-connection pipeline slot for each submit, reaps idle
+//!   connections with a typed `idle_timeout` error, and flushes every
+//!   connection's outbox to its socket. One thread serves hundreds of
+//!   connections; a connection storm costs file descriptors, not
+//!   threads;
+//! - **core** (one thread, [`super::sched`]): receives submits and
+//!   `status` requests from the reactor, and completions from the
+//!   workers, on one channel. It runs dedup, admission and round-robin
+//!   dispatch out of [`Admission`](super::quota::Admission) onto the
+//!   worker pool (at most `workers` jobs running), the per-job deadline
+//!   watchdog, periodic `progress` frames and the drain sequence. Each turn it handles
+//!   every queued message, writes the turn's WAL records with one sync,
+//!   publishes the turn's replies, then dispatches: disk waits land
+//!   here, never on the reactor, and one thread preserves global submit
+//!   order. It sleeps until a message or a job's timer wakes it, and it
+//!   is the only writer of the WAL and the journal;
 //! - **workers** (`workers` parked threads, started with the server):
 //!   an [`attempt::Pool`] that runs each dispatched job on the runner's
 //!   attempt path ([`crate::runner::attempt`]) and reports its outcome
@@ -37,11 +35,11 @@
 //!
 //! Replies never block the reactor either: every connection has an
 //! **outbox** (an unbounded queue of response lines) that any thread —
-//! the admission thread, the scheduler, a subscriber pump — appends to
-//! via [`send_line`]; the append marks the connection dirty and wakes
-//! the reactor, which copies lines into a bounded write buffer and
-//! writes as far as the socket allows. A connection whose outbox backs
-//! up past a cap stops being *read* (backpressure) until it drains.
+//! the core, a subscriber pump, the reactor itself — appends to via
+//! [`send_line`]; the append marks the connection dirty and wakes the
+//! reactor, which copies lines into a bounded write buffer and writes
+//! as far as the socket allows. A connection whose outbox backs up past
+//! a cap stops being *read* (backpressure) until it drains.
 //!
 //! Every response a client can observe is typed; overload sheds, bad
 //! requests get `error` lines, deadlines become `timeout` outcomes and
@@ -53,9 +51,10 @@
 //! running jobs `drain_grace` to finish, then cancel their tokens; the
 //! attempt path's watchdog bounds the rest with `cancel_grace` (each is
 //! journaled as cancelled) so shutdown completes in bounded time no
-//! matter what a job does. The reactor then stops the
-//! admission thread (answering everything still queued to it), gives
-//! every connection a final flush window, and closes them all.
+//! matter what a job does. The reactor then tells the core it has
+//! forwarded its last request and waits until the core has answered
+//! everything before it, gives every connection a final flush window,
+//! and closes them all.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -64,20 +63,20 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, Sender, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, RecvTimeoutError, SendError, Sender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::obs::metrics;
 use crate::runner::attempt;
 use crate::runner::json::Value;
-use crate::runner::{Job, JobError};
+use crate::runner::Job;
 
-use super::protocol::{self, Request, ShedReason, Submit, TenantStatus};
-use super::quota::{Admission, PipelineGate, TenantQuota};
+use super::protocol::{self, Request, ShedReason, Submit};
+use super::quota::{PipelineGate, TenantQuota};
 use super::reactor::{self, Interest, Poller, ReadyEvent};
-use super::sched::{scheduler_loop, SchedMsg, Unbuildable};
-use super::wal::{Wal, WalRecord, WalState};
+use super::sched::{self, Gauges, SchedMsg};
+use super::wal::{Wal, WalState};
 
 /// Builds a runnable [`Job`] from a submit request, or a client-visible
 /// error message (unknown job name, bad parameters). The bench
@@ -108,14 +107,14 @@ pub struct ServiceConfig {
     pub journal_path: Option<PathBuf>,
     /// Write-ahead submission log (`None` disables durability): every
     /// `accepted` is fsynced here before the client sees it, and every
-    /// terminal outcome before its `done`.
+    /// terminal outcome before its `done` — one sync per core turn.
     pub wal_path: Option<PathBuf>,
     /// Replay the WAL on startup, re-enqueueing non-terminal jobs
     /// under their original tenants (no-op without a WAL, or on a
     /// fresh log). On by default: an operator who configures a WAL
     /// wants the jobs in it to run.
     pub recover: bool,
-    /// `fdatasync` WAL appends (group-committed) and journal terminal
+    /// `fdatasync` WAL appends (one per core turn) and journal terminal
     /// entries. Off trades power-loss durability for speed — crash
     /// safety against process death (kill -9) is retained either way,
     /// since both logs flush per line.
@@ -197,8 +196,9 @@ pub struct ServiceReport {
 /// [`Server::scheduler_wakeups`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerWakeups {
-    /// A message arrived: a job was admitted, a worker finished, or a
-    /// drain was requested.
+    /// A message arrived: a submit or `status` request, a worker's
+    /// completion, or a drain request (a wakeup handles every message
+    /// queued by then).
     pub messages: u64,
     /// A running job's deadline, cancel grace or progress cadence, or
     /// the drain grace, came due with no message pending.
@@ -246,9 +246,9 @@ struct OutQueue {
     closed: bool,
 }
 
-/// A connection's write side, shared between the reactor, the
-/// admission thread, the scheduler (`accepted`/`progress`/`done`
-/// responses) and subscriber pumps. Appends never block: lines land in
+/// A connection's write side, shared between the reactor, the core
+/// (`accepted`/`progress`/`done`/`status` responses) and subscriber
+/// pumps. Appends never block: lines land in
 /// an outbox the reactor flushes to the nonblocking socket as fast as
 /// the client reads. The pipeline gate rides here because its lifetime
 /// is exactly the connection's.
@@ -328,152 +328,37 @@ pub(super) fn send_line(writer: &ConnWriter, line: &str) {
     writer.push(line);
 }
 
-/// An admitted-but-undispatched job. `writer` is `None` for jobs
-/// re-enqueued from the WAL at startup — their submitting connection
-/// died with the old process; a resubmit with the same idempotency key
-/// re-attaches via the waiter list.
-pub(super) struct Pending {
-    pub(super) job_id: u64,
-    pub(super) job: Job,
-    pub(super) deadline: Duration,
-    pub(super) tag: Option<String>,
-    pub(super) idem_key: Option<String>,
-    pub(super) writer: Option<ConnWriter>,
-    /// When the reactor parsed the originating submit (`None` for jobs
-    /// re-enqueued from the WAL — their submit predates this process).
-    pub(super) received: Option<Instant>,
-    /// When the job became dispatchable — published to the admission
-    /// queue, after its WAL append and its `accepted` line; the
-    /// scheduler's dispatch turns the difference into the queue-wait
-    /// metric.
-    pub(super) queued: Instant,
-}
-
-/// One idempotency key's lifecycle. Keys move `InFlight` → `Done` and
-/// are then retained (bounded by `idem_cap`) so a late resubmission
-/// gets the original outcome instead of a second run.
-enum IdemState {
-    /// The keyed job is queued or running under this id.
-    InFlight { job_id: u64 },
-    Done {
-        job_id: u64,
-        job: String,
-        outcome: Result<String, JobError>,
-    },
-}
-
-/// The idempotency-key table: key → lifecycle state, with FIFO
-/// eviction of completed entries once past the cap. In-flight entries
-/// are never evicted — they are exactly the keys a reconnecting client
-/// is about to resend.
-#[derive(Default)]
-pub(super) struct IdemMap {
-    entries: HashMap<String, IdemState>,
-    done_order: VecDeque<String>,
-}
-
-impl IdemMap {
-    /// Marks `key` completed, evicting the oldest completed entries
-    /// beyond `cap`.
-    pub(super) fn record_done(
-        &mut self,
-        key: String,
-        job_id: u64,
-        job: String,
-        outcome: Result<String, JobError>,
-        cap: usize,
-    ) {
-        self.entries.insert(
-            key.clone(),
-            IdemState::Done {
-                job_id,
-                job,
-                outcome,
-            },
-        );
-        self.done_order.push_back(key);
-        while self.done_order.len() > cap {
-            if let Some(old) = self.done_order.pop_front() {
-                if matches!(self.entries.get(&old), Some(IdemState::Done { .. })) {
-                    self.entries.remove(&old);
-                }
-            }
-        }
-    }
-}
-
-/// Extra connections waiting on a job's terminal outcome: resubmits of
-/// an in-flight idempotency key (typically a client that reconnected
-/// after losing the original connection). Each waiter gets the `done`
-/// line with its own tag.
-pub(super) type Waiters = HashMap<u64, Vec<(ConnWriter, Option<String>)>>;
-
-/// One submit forwarded from the reactor to the admission thread. The
-/// gate slot was already acquired by the reactor; every admission path
-/// either keeps it (an eventual `done` releases it) or releases it
-/// with its terminal reply.
-struct AdmitRequest {
-    submit: Submit,
-    bytes: usize,
-    writer: ConnWriter,
-    /// When the reactor parsed the request — admission wait and the
-    /// end-to-end server-side latency both start here.
-    received: Instant,
-}
-
-/// State shared by the reactor, admission thread and scheduler.
+/// State shared by the reactor, the core and the workers.
 pub(super) struct Shared {
-    pub(super) admission: Mutex<Admission<Pending>>,
     /// Set by [`request_stop`](Self::request_stop); the reactor closes
-    /// the listener on it (the scheduler gets [`SchedMsg::Stop`]).
+    /// the listener on it (the core gets [`SchedMsg::Stop`]).
     stop: AtomicBool,
-    /// Set once the drain has completed; the reactor flushes and
-    /// closes every connection on it.
+    /// Set once the drain has completed; the reactor then sends the
+    /// core [`SchedMsg::Exit`], and flushes and closes every connection.
     done: AtomicBool,
-    next_job_id: AtomicU64,
-    pub(super) cancelled: AtomicU64,
-    pub(super) recovered: AtomicU64,
-    /// Lock order where both are held: `idem` before `waiters`. That
-    /// makes "saw InFlight → registered waiter" atomic against the
-    /// scheduler's "record done → drain waiters", closing the window
-    /// where a resubmit could register after the drain and wait
-    /// forever.
-    pub(super) idem: Mutex<IdemMap>,
-    pub(super) waiters: Mutex<Waiters>,
-    pub(super) wal: Option<Wal>,
     wake: Arc<WakeShared>,
-    /// Everything the scheduler must react to is sent here: it has no
-    /// poll interval to fall back on.
+    /// Everything the core must react to is sent here: it has no poll
+    /// interval to fall back on.
     pub(super) sched_tx: Sender<SchedMsg>,
-    /// [`SchedulerWakeups`], counted by the scheduler loop.
+    /// [`SchedulerWakeups`], counted by the core loop.
     pub(super) sched_message_wakeups: AtomicU64,
     pub(super) sched_timer_wakeups: AtomicU64,
+    /// The core's totals, for the heartbeat.
+    pub(super) gauges: Gauges,
     /// Runs dispatched jobs; dropped with the last handle on the server.
     pub(super) pool: attempt::Pool,
     pub(super) cfg: ServiceConfig,
-    factory: JobFactory,
 }
 
 impl Shared {
     pub(super) fn new(
         cfg: ServiceConfig,
-        factory: JobFactory,
-        wal: Option<Wal>,
-        idem: IdemMap,
-        first_job_id: u64,
         waker: reactor::Waker,
         sched_tx: Sender<SchedMsg>,
     ) -> std::io::Result<Shared> {
         Ok(Shared {
-            admission: Mutex::new(Admission::new(cfg.queue_cap, cfg.quota)),
             stop: AtomicBool::new(false),
             done: AtomicBool::new(false),
-            next_job_id: AtomicU64::new(first_job_id),
-            cancelled: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
-            idem: Mutex::new(idem),
-            waiters: Mutex::new(Waiters::new()),
-            wal,
             wake: Arc::new(WakeShared {
                 waker,
                 dirty: Mutex::new(Vec::new()),
@@ -481,9 +366,9 @@ impl Shared {
             sched_tx,
             sched_message_wakeups: AtomicU64::new(0),
             sched_timer_wakeups: AtomicU64::new(0),
+            gauges: Gauges::default(),
             pool: attempt::Pool::start(cfg.workers, "vsnoop-svc-worker")?,
             cfg,
-            factory,
         })
     }
 
@@ -501,51 +386,21 @@ impl Shared {
     /// `shutdown` op and a signal all land here.
     fn request_stop(&self) {
         if !self.stop.swap(true, Ordering::SeqCst) {
-            // A scheduler that has already exited is already drained.
+            // A core that has already exited is already drained.
             let _ = self.sched_tx.send(SchedMsg::Stop);
             self.wake.waker.wake();
         }
     }
 
-    /// Tells the reactor the drain is complete: it flushes and closes
-    /// every connection, then exits.
+    /// Tells the reactor the drain is complete, once: it has the core
+    /// answer everything forwarded so far, then flushes and closes every
+    /// connection, then exits.
     pub(super) fn mark_drained(&self) {
-        self.done.store(true, Ordering::SeqCst);
-        // The reactor may be parked in a poll: start its final flush now.
-        self.wake.waker.wake();
-    }
-
-    /// Builds a `status` response from admission + cell-memo counters.
-    fn status_line(&self) -> String {
-        let warm: HashMap<String, (u64, u64)> = crate::warm_tenant_counters()
-            .into_iter()
-            .map(|(t, h, m)| (t, (h, m)))
-            .collect();
-        let adm = self.admission.lock().unwrap_or_else(|e| e.into_inner());
-        let tenants: Vec<TenantStatus> = adm
-            .tenant_counters()
-            .into_iter()
-            .map(|(tenant, queued, running, done, shed)| {
-                let (warm_hits, warm_misses) = warm.get(&tenant).copied().unwrap_or((0, 0));
-                TenantStatus {
-                    tenant,
-                    queued,
-                    running,
-                    done,
-                    shed,
-                    warm_hits,
-                    warm_misses,
-                }
-            })
-            .collect();
-        protocol::status(
-            adm.queued_total() as u64,
-            adm.inflight_total() as u64,
-            adm.done_total(),
-            adm.shed_total(),
-            adm.draining(),
-            &tenants,
-        )
+        if !self.done.swap(true, Ordering::SeqCst) {
+            // The reactor may be parked in a poll: start its final
+            // flush now.
+            self.wake.waker.wake();
+        }
     }
 }
 
@@ -569,7 +424,7 @@ impl Server {
         self.shared.request_stop();
     }
 
-    /// How often the scheduler thread has woken so far. An idle server
+    /// How often the core thread has woken so far. An idle server
     /// reads the same value however long it idles, and a job that
     /// finishes inside its timers adds to `messages` only.
     pub fn scheduler_wakeups(&self) -> SchedulerWakeups {
@@ -600,9 +455,9 @@ impl Server {
 ///
 /// When a WAL is configured, startup first replays it (unless
 /// `recover` is off), compacts it, and re-enqueues every non-terminal
-/// job under its original tenant and job id — all *before* the reactor
-/// starts, so recovered work is ahead of new submits and job-id
-/// allocation resumes above the high-water mark.
+/// job under its original tenant and job id — all *before* the core
+/// handles its first request, so recovered work is ahead of new submits
+/// and job-id allocation resumes above the high-water mark.
 pub fn serve(
     listener: TcpListener,
     factory: JobFactory,
@@ -612,7 +467,8 @@ pub fn serve(
     deepen_backlog(&listener, cfg.listen_backlog);
     let addr = listener.local_addr()?;
 
-    // --- WAL replay + compaction (before any thread starts). ---
+    // --- WAL replay + compaction (before any thread starts). The core
+    // re-enqueues the replayed backlog ahead of any new submit. ---
     let mut wal = None;
     let mut state = WalState::default();
     if let Some(path) = &cfg.wal_path {
@@ -622,113 +478,12 @@ pub fn serve(
         }
         wal = Some(Wal::open(path, cfg.sync)?);
     }
-    let mut idem = IdemMap::default();
-    for (key, rec) in std::mem::take(&mut state.completed) {
-        idem.record_done(key, rec.job_id, rec.job, rec.outcome, cfg.idem_cap);
-    }
 
     let poller = Poller::new()?;
     let (waker, wake_rx) = reactor::wake_pair()?;
     let (sched_tx, sched_rx) = channel::<SchedMsg>();
-
-    let shared = Arc::new(Shared::new(
-        cfg.clone(),
-        factory,
-        wal,
-        idem,
-        state.max_job_id + 1,
-        waker,
-        sched_tx,
-    )?);
-
-    // --- Re-enqueue the recovered backlog. Jobs whose factory no
-    // longer recognizes them (registry changed across the restart)
-    // are terminally failed instead — durably, so they never replay
-    // again — and journaled by the scheduler at startup.
-    let mut unbuildable: Vec<Unbuildable> = Vec::new();
-    for p in state.pending {
-        let submit = Submit {
-            tenant: p.tenant.clone(),
-            job: p.job.clone(),
-            params: p.params.clone(),
-            deadline_ms: p.deadline_ms,
-            tag: None,
-            idem_key: p.idem_key.clone(),
-        };
-        match (shared.factory)(&submit) {
-            Ok(job) => {
-                if let Some(key) = &p.idem_key {
-                    let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-                    idem.entries
-                        .insert(key.clone(), IdemState::InFlight { job_id: p.job_id });
-                }
-                let pending = Pending {
-                    job_id: p.job_id,
-                    job,
-                    deadline: p
-                        .deadline_ms
-                        .map_or(cfg.default_deadline, Duration::from_millis),
-                    tag: None,
-                    idem_key: p.idem_key.clone(),
-                    writer: None,
-                    received: None,
-                    queued: Instant::now(),
-                };
-                {
-                    let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-                    adm.restore(&p.tenant, pending, p.bytes as usize);
-                }
-                let _ = shared.sched_tx.send(SchedMsg::Admitted);
-                if let Some(w) = &shared.wal {
-                    w.append(&WalRecord::Recovered { job_id: p.job_id })?;
-                }
-                if crate::obs::telemetry_active() {
-                    crate::obs::telemetry::emit(
-                        "service_recovered",
-                        vec![
-                            ("job_id", Value::UInt(p.job_id)),
-                            ("tenant", Value::Str(p.tenant.clone())),
-                            ("job", Value::Str(p.job.clone())),
-                        ],
-                    );
-                }
-                shared.recovered.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(message) => {
-                unbuildable.push(Unbuildable {
-                    tenant: p.tenant.clone(),
-                    job_id: p.job_id,
-                    name: p.job.clone(),
-                    idem_key: p.idem_key.clone(),
-                    error: JobError::Failed {
-                        message: format!("recovery: job no longer buildable: {message}"),
-                    },
-                });
-            }
-        }
-    }
-
-    let scheduler = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("vsnoop-svc-sched".into())
-            .spawn(move || scheduler_loop(&shared, sched_rx, unbuildable))?
-    };
-
-    // Submits hop from the reactor to this thread so the WAL fsync in
-    // `handle_submit` never stalls connection I/O. One thread, one
-    // channel: global FIFO admission order is preserved.
-    let (admit_tx, admit_rx) = channel::<AdmitRequest>();
-    let admit = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("vsnoop-svc-admit".into())
-            .spawn(move || {
-                while let Ok(req) = admit_rx.recv() {
-                    handle_submit(req.submit, req.bytes, &req.writer, &shared, req.received);
-                }
-            })?
-    };
+    let shared = Arc::new(Shared::new(cfg, waker, sched_tx)?);
+    let scheduler = sched::start(&shared, factory, wal, state, sched_rx)?;
 
     // A SIGTERM should interrupt a blocked poll immediately.
     super::signal::set_wake_fd(shared.wake.waker.raw_fd());
@@ -737,7 +492,7 @@ pub fn serve(
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("vsnoop-svc-reactor".into())
-            .spawn(move || reactor_loop(listener, poller, wake_rx, &shared, admit_tx, admit))?
+            .spawn(move || reactor_loop(listener, poller, wake_rx, &shared))?
     };
 
     Ok(Server {
@@ -821,15 +576,13 @@ impl Conn {
 }
 
 /// The reactor: accept, read + frame assembly, request handling for
-/// everything except submits (which hop to the admission thread),
+/// everything except submits and `status` (which hop to the core),
 /// outbox flushing, idle reaping, and the post-drain connection sweep.
 fn reactor_loop(
     listener: TcpListener,
     mut poller: Poller,
     mut wake_rx: UnixStream,
     shared: &Arc<Shared>,
-    admit_tx: Sender<AdmitRequest>,
-    admit_join: std::thread::JoinHandle<()>,
 ) {
     let mut listener = Some(listener);
     if let Some(l) = &listener {
@@ -845,14 +598,13 @@ fn reactor_loop(
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
-    let mut admit = Some((admit_tx, admit_join));
     let mut done_at: Option<Instant> = None;
     let mut events: Vec<ReadyEvent> = Vec::new();
     let mut to_close: Vec<u64> = Vec::new();
 
     loop {
         if super::signal::requested() {
-            // Propagate a signal-initiated drain to the scheduler.
+            // Propagate a signal-initiated drain to the core.
             shared.request_stop();
         }
         if shared.stop.load(Ordering::SeqCst) {
@@ -862,14 +614,14 @@ fn reactor_loop(
             }
         }
         if shared.done.load(Ordering::SeqCst) && done_at.is_none() {
-            // The scheduler's drain is complete. Stop the admission
-            // thread first — joining it guarantees every submit still
-            // queued on its channel got its reply (a `draining` shed
-            // or a dedup answer) into an outbox before we start the
-            // final flush.
-            if let Some((tx, join)) = admit.take() {
-                drop(tx);
-                let _ = join.join();
+            // The core's drain is complete. Nothing is forwarded after
+            // `Exit`, and the core acknowledges it only after answering
+            // every request ahead of it (a `draining` shed, a dedup
+            // answer, a status), so all of those are in outboxes before
+            // the final flush starts.
+            let (ack_tx, ack_rx) = channel();
+            if shared.sched_tx.send(SchedMsg::Exit(ack_tx)).is_ok() {
+                let _ = ack_rx.recv();
             }
             for conn in conns.values_mut() {
                 conn.closing = true;
@@ -917,7 +669,7 @@ fn reactor_loop(
                     let mut keep = true;
                     if let Some(conn) = conns.get_mut(&token) {
                         if ev.readable && !conn.closing && !conn.read_eof {
-                            keep = read_ready(conn, shared, admit.as_ref().map(|(tx, _)| tx));
+                            keep = read_ready(conn, shared);
                         }
                         if keep {
                             keep = flush_conn(conn, &mut poller, token);
@@ -1094,11 +846,7 @@ fn assemble_frames(
 /// handles every complete frame. Returns `false` when the connection
 /// should be closed (hard error); EOF instead parks the connection so
 /// in-flight responses still reach a half-closed peer.
-fn read_ready(
-    conn: &mut Conn,
-    shared: &Arc<Shared>,
-    admit_tx: Option<&Sender<AdmitRequest>>,
-) -> bool {
+fn read_ready(conn: &mut Conn, shared: &Arc<Shared>) -> bool {
     let mut chunk = [0u8; READ_CHUNK];
     let mut frames: Vec<FrameOut> = Vec::new();
     for _ in 0..READ_ROUNDS {
@@ -1122,13 +870,7 @@ fn read_ready(
                         FrameOut::Line(text) => {
                             let trimmed = text.trim();
                             if !trimmed.is_empty() {
-                                handle_request(
-                                    trimmed,
-                                    &conn.writer,
-                                    shared,
-                                    &mut conn.tap_id,
-                                    admit_tx,
-                                );
+                                handle_request(trimmed, &conn.writer, shared, &mut conn.tap_id);
                             }
                         }
                         FrameOut::Oversized => {
@@ -1210,16 +952,9 @@ fn close_conn(conn: Conn, poller: &mut Poller) {
     }
 }
 
-/// Dispatches one parsed request line (on the reactor thread; only
-/// submits leave it, hopping to the admission thread with a pipeline
-/// slot already held).
-fn handle_request(
-    line: &str,
-    writer: &ConnWriter,
-    shared: &Arc<Shared>,
-    tap_id: &mut Option<u64>,
-    admit_tx: Option<&Sender<AdmitRequest>>,
-) {
+/// Dispatches one parsed request line (on the reactor thread; submits
+/// and `status` hop to the core).
+fn handle_request(line: &str, writer: &ConnWriter, shared: &Arc<Shared>, tap_id: &mut Option<u64>) {
     let request = match Request::parse(line) {
         Ok(r) => r,
         Err(message) => {
@@ -1234,68 +969,30 @@ fn handle_request(
     };
     match request {
         Request::Submit(submit) => {
-            let received = Instant::now();
             metrics::SERVICE_REQUESTS.inc();
-            let gate = &writer.gate;
-            let mut granted = gate.try_acquire();
-            if !granted {
-                // An idempotency key the server already knows is owed
-                // its original outcome even at the cap: dedup replies
-                // cost no new work, and shedding them would break the
-                // "accepted once, answered once" promise.
-                let owed = submit.idem_key.as_deref().is_some_and(|key| {
-                    shared
-                        .idem
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .entries
-                        .contains_key(key)
-                });
-                if owed {
-                    gate.acquire();
-                    granted = true;
-                }
-            }
-            if !granted {
+            let msg = SchedMsg::Submit {
+                submit,
+                bytes: line.len(),
+                writer: Arc::clone(writer),
+                received: Instant::now(),
+                slot: writer.gate.try_acquire(),
+            };
+            if let Err(SendError(SchedMsg::Submit { submit, slot, .. })) = shared.sched_tx.send(msg)
+            {
+                // The core is gone: the drain has already completed.
+                // Same answer a draining queue would give.
                 metrics::SERVICE_SHED.inc();
-                if crate::obs::telemetry_active() {
-                    crate::obs::telemetry::emit(
-                        "service_shed",
-                        vec![
-                            ("tenant", Value::Str(submit.tenant.clone())),
-                            ("job", Value::Str(submit.job.clone())),
-                            (
-                                "reason",
-                                Value::Str(ShedReason::PipelineFull.as_str().into()),
-                            ),
-                        ],
-                    );
+                if slot {
+                    writer.gate.release();
                 }
-                send_line(
-                    writer,
-                    &protocol::shed(ShedReason::PipelineFull, &submit.tag),
-                );
-                return;
-            }
-            let bytes = line.len();
-            let forwarded = admit_tx.is_some_and(|tx| {
-                tx.send(AdmitRequest {
-                    submit: submit.clone(),
-                    bytes,
-                    writer: Arc::clone(writer),
-                    received,
-                })
-                .is_ok()
-            });
-            if !forwarded {
-                // The admission thread is gone: the drain has already
-                // completed. Same answer a draining queue would give.
-                metrics::SERVICE_SHED.inc();
-                gate.release();
                 send_line(writer, &protocol::shed(ShedReason::Draining, &submit.tag));
             }
         }
-        Request::Status => send_line(writer, &shared.status_line()),
+        Request::Status => {
+            // Only an exited core refuses it, after the final flush has
+            // begun: nothing is read then.
+            let _ = shared.sched_tx.send(SchedMsg::Status(Arc::clone(writer)));
+        }
         Request::Metrics => send_line(
             writer,
             &protocol::metrics(metrics::snapshot_value(shared.pool.spawns())),
@@ -1370,218 +1067,6 @@ fn handle_request(
                 });
         }
     }
-}
-
-/// Admission for one submit (on the admission thread): dedup on the
-/// idempotency key, build the job, reserve its queue slot, make the
-/// acceptance durable, answer, and only then publish the job to the
-/// scheduler.
-///
-/// Durability ordering: the WAL `accepted` record is written *and
-/// fsynced* before the `accepted` line goes out — a client that has
-/// seen `accepted` owns a job that survives any crash. If the WAL
-/// write fails the client gets a retryable `wal_failed` error instead
-/// (the job still runs, and a keyed retry dedups against it, so the
-/// failure degrades durability without breaking no-duplication).
-///
-/// Wire ordering: the job joins the dispatch queue after its `accepted`
-/// line is in the outbox, so the scheduler — which dispatches the
-/// moment it is told — cannot put a `done` ahead of it.
-///
-/// Pipeline-gate contract: the caller (reactor) acquired one slot for
-/// this submit. Paths that answer terminally here (dedup `done`
-/// replay, factory error, shed) release it; paths that promise a
-/// later `done` (queued, in-flight waiter, even `wal_failed` — the
-/// job runs) keep it, and the scheduler's `finish_job` releases it
-/// with the `done`.
-fn handle_submit(
-    submit: Submit,
-    bytes: usize,
-    writer: &ConnWriter,
-    shared: &Arc<Shared>,
-    received: Instant,
-) {
-    // How long the submit sat on the reactor→admission channel (plus
-    // any WAL stall ahead of it).
-    metrics::SERVICE_ADMISSION_WAIT_US.record(received.elapsed().as_micros() as u64);
-    // Idempotency dedup first: a duplicate must be answered from the
-    // original run even when the server is draining or the queue is
-    // full — the original acceptance already promised the work.
-    if let Some(key) = &submit.idem_key {
-        let idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-        if answer_duplicate(&idem, key, &submit, writer, shared, false) {
-            return;
-        }
-    }
-    let job = match (shared.factory)(&submit) {
-        Ok(job) => job,
-        Err(message) => {
-            send_line(writer, &protocol::error(&message, &submit.tag));
-            writer.gate.release();
-            return;
-        }
-    };
-    let deadline = submit
-        .deadline_ms
-        .map_or(shared.cfg.default_deadline, Duration::from_millis);
-    let job_id = shared.next_job_id.fetch_add(1, Ordering::Relaxed);
-    if let Some(key) = &submit.idem_key {
-        let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-        // A racing duplicate may have won between our peek and now;
-        // defer to it exactly as the peek would have.
-        if answer_duplicate(&idem, key, &submit, writer, shared, true) {
-            return;
-        }
-        idem.entries
-            .insert(key.clone(), IdemState::InFlight { job_id });
-    }
-    let reserved = {
-        let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-        adm.reserve(&submit.tenant, bytes)
-    };
-    if let Err(reason) = reserved {
-        // The key never entered flight: forget it so a later
-        // (post-backoff) retry is a fresh submission.
-        if let Some(key) = &submit.idem_key {
-            let mut idem = shared.idem.lock().unwrap_or_else(|e| e.into_inner());
-            if matches!(idem.entries.get(key), Some(IdemState::InFlight { job_id: id }) if *id == job_id)
-            {
-                idem.entries.remove(key);
-            }
-        }
-        metrics::SERVICE_SHED.inc();
-        if crate::obs::telemetry_active() {
-            crate::obs::telemetry::emit(
-                "service_shed",
-                vec![
-                    ("tenant", Value::Str(submit.tenant.clone())),
-                    ("job", Value::Str(submit.job.clone())),
-                    ("reason", Value::Str(reason.as_str().into())),
-                ],
-            );
-        }
-        send_line(writer, &protocol::shed(reason, &submit.tag));
-        writer.gate.release();
-        return;
-    }
-    let mut durable = Ok(());
-    if let Some(w) = &shared.wal {
-        let record = WalRecord::Accepted {
-            job_id,
-            tenant: submit.tenant.clone(),
-            job: submit.job.clone(),
-            params: submit.params.clone(),
-            deadline_ms: submit.deadline_ms,
-            idem_key: submit.idem_key.clone(),
-            bytes: bytes as u64,
-        };
-        let fsync_start = Instant::now();
-        durable = w.append(&record);
-        metrics::SERVICE_WAL_FSYNC_US.record(fsync_start.elapsed().as_micros() as u64);
-    }
-    match durable {
-        Ok(()) => {
-            if crate::obs::telemetry_active() {
-                crate::obs::telemetry::emit(
-                    "service_admit",
-                    vec![
-                        ("job_id", Value::UInt(job_id)),
-                        ("tenant", Value::Str(submit.tenant.clone())),
-                        ("job", Value::Str(submit.job.clone())),
-                    ],
-                );
-            }
-            send_line(writer, &protocol::accepted(job_id, &submit.tag));
-        }
-        Err(e) => {
-            eprintln!("service: wal append failed for job {job_id}: {e}");
-            send_line(
-                writer,
-                &protocol::error_coded(
-                    "acceptance could not be made durable; retry",
-                    "wal_failed",
-                    true,
-                    &submit.tag,
-                ),
-            );
-        }
-    }
-    let pending = Pending {
-        job_id,
-        job,
-        deadline,
-        tag: submit.tag,
-        idem_key: submit.idem_key,
-        writer: Some(Arc::clone(writer)),
-        received: Some(received),
-        queued: Instant::now(),
-    };
-    {
-        let mut adm = shared.admission.lock().unwrap_or_else(|e| e.into_inner());
-        adm.publish(&submit.tenant, pending, bytes);
-    }
-    // In a drain the scheduler may have picked the job up on another
-    // wakeup, cancelled it and exited already: nobody is left to tell.
-    let _ = shared.sched_tx.send(SchedMsg::Admitted);
-}
-
-/// Answers `submit` from the job that already owns its idempotency
-/// `key`, if there is one: a completed key replays `accepted` + `done`
-/// (releasing the pipeline slot), a key in flight parks this
-/// connection as a waiter for that job's `done`. Returns whether the
-/// submit was answered. `race` only labels the telemetry.
-///
-/// The caller holds `idem` across the call. The scheduler records a key
-/// done under the same lock before it collects waiters, so a waiter
-/// parked here is never missed, and its `accepted` is queued before
-/// that `done` can be.
-fn answer_duplicate(
-    idem: &IdemMap,
-    key: &str,
-    submit: &Submit,
-    writer: &ConnWriter,
-    shared: &Shared,
-    race: bool,
-) -> bool {
-    let (job_id, phase) = match idem.entries.get(key) {
-        Some(IdemState::Done {
-            job_id,
-            job,
-            outcome,
-        }) => {
-            send_line(writer, &protocol::accepted(*job_id, &submit.tag));
-            send_line(writer, &protocol::done(*job_id, job, outcome, &submit.tag));
-            writer.gate.release();
-            (*job_id, "done")
-        }
-        Some(IdemState::InFlight { job_id }) => {
-            {
-                let mut waiters = shared.waiters.lock().unwrap_or_else(|e| e.into_inner());
-                waiters
-                    .entry(*job_id)
-                    .or_default()
-                    .push((Arc::clone(writer), submit.tag.clone()));
-            }
-            send_line(writer, &protocol::accepted(*job_id, &submit.tag));
-            (*job_id, "in_flight")
-        }
-        None => return false,
-    };
-    if crate::obs::telemetry_active() {
-        crate::obs::telemetry::emit(
-            "service_idem_hit",
-            vec![
-                ("job_id", Value::UInt(job_id)),
-                ("tenant", Value::Str(submit.tenant.clone())),
-                ("job", Value::Str(submit.job.clone())),
-                (
-                    "phase",
-                    Value::Str(if race { "race" } else { phase }.to_string()),
-                ),
-            ],
-        );
-    }
-    true
 }
 
 #[cfg(test)]

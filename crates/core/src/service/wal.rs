@@ -26,13 +26,13 @@
 //! keyed completions), via write-temp + fsync + rename, so the log
 //! does not grow without bound across restarts.
 //!
-//! Writes use **group commit**: concurrent appenders each append their
-//! line under the lock, then one of them issues the `fdatasync` that
-//! covers everyone appended so far while the rest wait on a condvar.
-//! Under load the fsync cost is amortized over every in-flight
-//! request, so the WAL adds one shared fsync per batch rather than
-//! one per request (the benchmark's traced `serve_open` run reports
-//! it as `server.stage_wal_fsync_us_*`).
+//! Writes are batched by the caller, not by the log: the server's one
+//! core thread collects every record of a loop turn and hands them to
+//! [`Wal::append_all`], which writes them under the file lock and
+//! covers them all with one `fdatasync`. Under load the fsync cost is
+//! amortized over every request handled in the turn (the benchmark's
+//! traced `serve_open` run reports it as
+//! `server.stage_wal_fsync_us_*`).
 //!
 //! Like every JSONL artifact in the repo, a torn trailing line (the
 //! process died mid-append) is repaired on reopen and skipped on load.
@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 
 use crate::runner::json::Value;
 use crate::runner::{for_each_line, repair_tail, JobError};
@@ -246,33 +246,22 @@ pub struct WalState {
     pub max_job_id: u64,
 }
 
-/// The open write-ahead log: a shared appender with group-commit
-/// fsync. Cloning is not supported; the server holds it in an `Arc`.
+/// The open write-ahead log: a locked appender with one `fdatasync`
+/// per call.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    inner: Mutex<WalInner>,
-    synced: Condvar,
+    file: Mutex<File>,
     /// Whether appends fsync at all (`false` turns the WAL into a
     /// flush-only log for benchmarking the fsync cost itself).
     sync: bool,
 }
 
-#[derive(Debug)]
-struct WalInner {
-    file: File,
-    /// Logical sequence number of the last line written to the file.
-    written: u64,
-    /// Highest LSN known to be on stable storage.
-    synced: u64,
-    /// Whether some thread is currently inside `fdatasync`.
-    syncing: bool,
-}
-
 impl Wal {
     /// Opens (or creates) the log for appending, repairing a torn
-    /// trailing line first. `sync` enables the fsync-per-append
-    /// durability contract (the default everywhere but benchmarks).
+    /// trailing line first. `sync` makes every append call end in one
+    /// `fdatasync`, as the durability contract needs (the default
+    /// everywhere but benchmarks).
     ///
     /// # Errors
     ///
@@ -285,13 +274,7 @@ impl Wal {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(Wal {
             path: path.to_path_buf(),
-            inner: Mutex::new(WalInner {
-                file,
-                written: 0,
-                synced: 0,
-                syncing: false,
-            }),
-            synced: Condvar::new(),
+            file: Mutex::new(file),
             sync,
         })
     }
@@ -301,47 +284,33 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one record and returns once it is durable (group-commit
-    /// fsync). Concurrent callers share one `fdatasync`: each writes
-    /// its line under the lock, then either becomes the syncer for
-    /// every line written so far or waits for a syncer that covers it.
+    /// Appends one record and returns once it is durable.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors (from the write, or from the sync
-    /// that covered this record).
+    /// Propagates filesystem errors from the write or the sync.
     pub fn append(&self, record: &WalRecord) -> std::io::Result<()> {
-        let mut line = record.to_json_line();
-        line.push('\n');
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.file.write_all(line.as_bytes())?;
-        inner.written += 1;
-        let my_lsn = inner.written;
-        if !self.sync {
-            return Ok(());
+        self.append_all(std::slice::from_ref(record))
+    }
+
+    /// Appends `records` in order with one write and returns once all
+    /// of them are durable: one `fdatasync` covers the whole call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors from the write or the sync.
+    pub fn append_all(&self, records: &[WalRecord]) -> std::io::Result<()> {
+        let mut lines = String::new();
+        for record in records {
+            lines.push_str(&record.to_json_line());
+            lines.push('\n');
         }
-        loop {
-            if inner.synced >= my_lsn {
-                return Ok(());
-            }
-            if inner.syncing {
-                inner = self.synced.wait(inner).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            // Become the syncer for everything written so far.
-            inner.syncing = true;
-            let cover = inner.written;
-            let file = inner.file.try_clone();
-            drop(inner);
-            let result = file.and_then(|f| f.sync_data());
-            inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.syncing = false;
-            if result.is_ok() && inner.synced < cover {
-                inner.synced = cover;
-            }
-            self.synced.notify_all();
-            result?;
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        file.write_all(lines.as_bytes())?;
+        if self.sync {
+            file.sync_data()?;
         }
+        Ok(())
     }
 
     /// Loads every parseable record. Torn or foreign lines are
@@ -637,7 +606,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_appends_from_many_threads_all_land() {
+    fn appends_from_many_threads_all_land() {
         let dir = scratch("group");
         let path = dir.join("wal.jsonl");
         let wal = Arc::new(Wal::open(&path, true).unwrap());

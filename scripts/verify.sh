@@ -233,6 +233,10 @@ CONNS_LOG=target/campaign/verify-conns.log
   --workers 4 --queue-cap 2048 --max-inflight 8 --max-queued 512 \
   --deadline-ms 60000 --progress-ms 100 >> "$CONNS_LOG" 2>&1
 grep -q 'unanswered=0' "$CONNS_LOG"
+# Shown, not gated: the soak runs with its WAL synced, so this client
+# line (`latency ... throughput=`) is the synced saturation throughput
+# of the service core's one sync per turn.
+grep -m1 '^latency ' "$CONNS_LOG" || true
 # Server-measured p99 (metrics wire op) must reconcile with the
 # client-measured p99: the server resolves quantiles to log2 bucket
 # edges, so allow 2x plus scheduling slop, but never silence — both
